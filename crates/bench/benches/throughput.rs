@@ -1,30 +1,12 @@
-//! Criterion wrapper around the throughput suite's hot paths: the PP insert
-//! path (lock-free vs the historical mutex baseline) and one native-backend
-//! histogram run per scheme, all at smoke sizes so `cargo bench` stays fast.
+//! Criterion wrapper around the throughput suite's hot path: one
+//! native-backend histogram run per scheme, at smoke size so `cargo bench`
+//! stays fast.
 
 use apps::histogram::HistogramConfig;
 use apps::{run_spec, ClusterSpec, RunSpec};
-use bench::throughput::{lockfree_insert_rate, mutex_insert_rate};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use runtime_api::Backend;
 use tramlib::Scheme;
-
-const INSERT_THREADS: u64 = 4;
-const INSERTS_PER_THREAD: u64 = 20_000;
-const CLAIM_CAPACITY: usize = 1024;
-
-fn bench_claim_insert(c: &mut Criterion) {
-    let mut group = c.benchmark_group("claim_insert");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(INSERT_THREADS * INSERTS_PER_THREAD));
-    group.bench_function("lockfree_4thr", |b| {
-        b.iter(|| lockfree_insert_rate(INSERT_THREADS, INSERTS_PER_THREAD, CLAIM_CAPACITY))
-    });
-    group.bench_function("mutex_4thr", |b| {
-        b.iter(|| mutex_insert_rate(INSERT_THREADS, INSERTS_PER_THREAD, CLAIM_CAPACITY))
-    });
-    group.finish();
-}
 
 fn bench_native_histogram(c: &mut Criterion) {
     let updates = 1_000u64;
@@ -48,5 +30,5 @@ fn bench_native_histogram(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_claim_insert, bench_native_histogram);
+criterion_group!(benches, bench_native_histogram);
 criterion_main!(benches);

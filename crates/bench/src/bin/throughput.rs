@@ -1,6 +1,6 @@
 //! The throughput sweep: items/sec per scheme on the native backend (mesh
-//! delivery, with a star-topology A/B series), plus the PP insert-path
-//! lock-free-vs-mutex comparison, emitted as one machine-readable
+//! delivery, with a star-topology A/B series), plus the kernel-tier and
+//! NUMA-placement A/Bs, emitted as one machine-readable
 //! `BENCH_throughput.json`.
 //!
 //! ```text
@@ -34,7 +34,7 @@
 
 use bench::regression::{regression_gate, tolerance_from_env, TOLERANCE_ENV};
 use bench::throughput::{
-    cross_socket_penalty, kernel_apply_comparison, pp_insert_comparison, throughput_histogram_on,
+    cross_socket_penalty, kernel_apply_comparison, throughput_histogram_on,
     throughput_index_gather, write_throughput_json, Tune,
 };
 use bench::Effort;
@@ -93,8 +93,6 @@ fn main() {
     println!("{}\n", star.to_text());
     let index_gather = throughput_index_gather(effort, tune(Tune::mesh_arena()));
     println!("{}\n", index_gather.to_text());
-    let pp_insert = pp_insert_comparison(effort);
-    println!("{}\n", pp_insert.to_text());
     // The kernel A/B is a direct microbench over every tier, so `--kernel`
     // does not narrow it; each timed repetition re-checks its tier against
     // the scalar reference and panics on any total mismatch.
@@ -108,7 +106,6 @@ fn main() {
         ("histogram_native_vecpool", &histogram_vecpool),
         ("histogram_native_star", &star),
         ("index_gather_native", &index_gather),
-        ("pp_insert", &pp_insert),
         ("kernel_apply", &kernel_apply),
         ("cross_socket_penalty", &cross_socket),
     ];

@@ -16,7 +16,6 @@
 //! functions below record the exact scaled parameters next to the paper's
 //! originals; `docs/DESIGN.md` §4 names the ablations.
 
-pub mod baseline;
 pub mod chaos;
 pub mod loadgen;
 pub mod regression;

@@ -1,6 +1,5 @@
 //! The throughput suite: items/sec per aggregation scheme on the native
-//! threaded backend, plus the PP insert-path micro-comparison against the
-//! historical mutex-based claim buffer.
+//! threaded backend, plus the kernel-tier and NUMA-placement A/Bs.
 //!
 //! Unlike the figure harness (which reruns the paper's *simulated* cluster
 //! experiments), this suite measures real wall-clock throughput of the
@@ -14,7 +13,6 @@
 //! the CI bench-smoke step relies on this to turn silent item loss into a red
 //! build.
 
-use crate::baseline::{MutexClaimBuffer, MutexClaimResult};
 use crate::Effort;
 use apps::common::run_spec_native_tuned;
 use apps::histogram::HistogramConfig;
@@ -24,10 +22,8 @@ use metrics::Series;
 use native_rt::{DeliveryTopology, MessageStore};
 use net_model::WorkerId;
 use runtime_api::{Backend, Item, KernelMode, Payload, RunReport, RunSpec};
-use shmem::{ClaimBuffer, ClaimResult};
 use std::io;
 use std::path::Path;
-use std::sync::Arc;
 use std::time::Instant;
 use tramlib::Scheme;
 
@@ -432,134 +428,6 @@ pub fn cross_socket_penalty(effort: Effort) -> Series {
     series
 }
 
-/// One step of the shared insert-race harness: what a buffer's insert did
-/// with the value.
-enum RaceStep {
-    Stored,
-    /// This inserter sealed the buffer and drained this many items.
-    Sealed(u64),
-    /// The buffer was sealed; retry with the returned value.
-    Retry(u64),
-}
-
-/// Race `threads` inserters through one shared buffer; returns inserts/sec.
-/// Sealed contents are dropped (we measure the insert path, not delivery) but
-/// still counted: the harness asserts every inserted item was drained exactly
-/// once.  Both claim-buffer implementations run through this same loop so the
-/// lock-free-vs-mutex comparison can never desynchronize.
-fn insert_race<B>(
-    buffer: Arc<B>,
-    threads: u64,
-    per_thread: u64,
-    insert: impl Fn(&B, u64) -> RaceStep + Copy + Send + 'static,
-    final_drain: impl FnOnce(&B) -> u64,
-) -> f64
-where
-    B: Send + Sync + 'static,
-{
-    let drained = Arc::new(std::sync::atomic::AtomicU64::new(0));
-    let start = Instant::now();
-    let handles: Vec<_> = (0..threads)
-        .map(|t| {
-            let buffer = buffer.clone();
-            let drained = drained.clone();
-            std::thread::spawn(move || {
-                for i in 0..per_thread {
-                    let mut value = t * per_thread + i;
-                    loop {
-                        match insert(&buffer, value) {
-                            RaceStep::Stored => break,
-                            RaceStep::Sealed(count) => {
-                                drained.fetch_add(count, std::sync::atomic::Ordering::Relaxed);
-                                break;
-                            }
-                            RaceStep::Retry(v) => {
-                                value = v;
-                                std::thread::yield_now();
-                            }
-                        }
-                    }
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        // Re-raise an inserter panic with its original payload instead of
-        // replacing it with an opaque `Any` debug print.
-        if let Err(payload) = h.join() {
-            std::panic::resume_unwind(payload);
-        }
-    }
-    let leftovers = final_drain(&buffer);
-    let elapsed = start.elapsed().as_secs_f64();
-    let total = threads * per_thread;
-    assert_eq!(
-        drained.load(std::sync::atomic::Ordering::Relaxed) + leftovers,
-        total,
-        "claim buffer lost items"
-    );
-    total as f64 / elapsed.max(1e-9)
-}
-
-/// Insert throughput of the lock-free claim buffer.
-pub fn lockfree_insert_rate(threads: u64, per_thread: u64, capacity: usize) -> f64 {
-    insert_race(
-        Arc::new(ClaimBuffer::<u64>::new(capacity)),
-        threads,
-        per_thread,
-        |buffer, value| match buffer.insert(value) {
-            ClaimResult::Stored => RaceStep::Stored,
-            ClaimResult::Sealed(items) => RaceStep::Sealed(items.len() as u64),
-            ClaimResult::Retry(v) => RaceStep::Retry(v),
-        },
-        |buffer| buffer.seal_flush().len() as u64,
-    )
-}
-
-/// Same workload through the historical mutex-based buffer.
-pub fn mutex_insert_rate(threads: u64, per_thread: u64, capacity: usize) -> f64 {
-    insert_race(
-        Arc::new(MutexClaimBuffer::<u64>::new(capacity)),
-        threads,
-        per_thread,
-        |buffer, value| match buffer.insert(value) {
-            MutexClaimResult::Stored => RaceStep::Stored,
-            MutexClaimResult::Sealed(items) => RaceStep::Sealed(items.len() as u64),
-            MutexClaimResult::Retry(v) => RaceStep::Retry(v),
-        },
-        |buffer| buffer.seal_flush().len() as u64,
-    )
-}
-
-/// The PP insert-path comparison: lock-free vs mutex claim buffer, inserts/sec
-/// over a thread sweep.  This is the before/after record for the lock-free
-/// rewrite.
-pub fn pp_insert_comparison(effort: Effort) -> Series {
-    let threads: Vec<u64> = effort.pick(vec![1, 2, 4], vec![1, 2, 4, 8]);
-    let per_thread = effort.pick(50_000, 200_000);
-    let capacity = 1024;
-    let mut series = Series::new(
-        "Throughput: PP insert path - lock-free vs mutex claim buffer (inserts/sec)",
-        "threads",
-    );
-    series.set_x_values(threads.iter().map(|t| format!("{t}thr")));
-    series.add_column(
-        "lockfree",
-        threads
-            .iter()
-            .map(|&t| lockfree_insert_rate(t, per_thread, capacity))
-            .collect(),
-    );
-    series.add_column(
-        "mutex",
-        threads
-            .iter()
-            .map(|&t| mutex_insert_rate(t, per_thread, capacity))
-            .collect(),
-    );
-    series
-}
-
 /// Assemble the combined `BENCH_throughput.json` document from named series.
 pub fn throughput_json(effort: Effort, series: &[(&str, &Series)]) -> String {
     crate::suite_json("throughput", effort, series)
@@ -617,12 +485,6 @@ mod tests {
     }
 
     #[test]
-    fn insert_rates_are_positive_and_conserving() {
-        assert!(lockfree_insert_rate(2, 2_000, 64) > 0.0);
-        assert!(mutex_insert_rate(2, 2_000, 64) > 0.0);
-    }
-
-    #[test]
     fn smoke_sweep_runs_every_scheme_on_both_apps() {
         for series in [
             throughput_histogram(Effort::Smoke),
@@ -674,11 +536,10 @@ mod tests {
 
     #[test]
     fn json_document_contains_every_series() {
-        let s = pp_insert_comparison(Effort::Smoke);
-        let json = throughput_json(Effort::Smoke, &[("pp_insert", &s)]);
+        let s = kernel_apply_comparison(Effort::Smoke);
+        let json = throughput_json(Effort::Smoke, &[("kernel_apply", &s)]);
         assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"pp_insert\""));
-        assert!(json.contains("\"lockfree\""));
-        assert!(json.contains("\"mutex\""));
+        assert!(json.contains("\"kernel_apply\""));
+        assert!(json.contains("\"scalar\""));
     }
 }

@@ -10,7 +10,10 @@
 //! * under **PP** all workers of a process insert into shared
 //!   [`shmem::ClaimBuffer`]s with atomic slot claiming — one buffer per
 //!   destination process, exactly the contended path §III-C of the paper
-//!   analyses;
+//!   analyses.  Each worker stages its sends per destination process in a
+//!   private run of at most `g` items and claims slots for the whole run with
+//!   one [`shmem::ClaimBuffer::insert_slice`], so the shared cache line is
+//!   touched once per run instead of once per item;
 //! * delivery runs over a direct **worker↔worker mesh** of bounded
 //!   [`shmem::SpscRing`]s by default: sealed/flushed messages go straight to
 //!   the destination worker, which runs the receive-side grouping pass

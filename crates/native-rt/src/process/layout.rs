@@ -102,12 +102,16 @@ const FLAG_PANICKED: u64 = 1;
 //   [24] panic message bytes (PANIC_MSG_BYTES)
 //   [..] n_counters
 //   then per counter: value u64, op u64 (0 = add, 1 = max), name_len u64,
-//   name bytes padded to a multiple of 8.
+//   name bytes padded to a multiple of 8.  TramLib statistics counters ride
+//   the same list, their names prefixed with `TRAM_PREFIX`.
 const HDR_READY: usize = 0;
 const HDR_FLAGS: usize = 8;
 const HDR_PANIC_LEN: usize = 16;
 const HDR_PANIC_MSG: usize = 24;
 const HDR_COUNTERS: usize = HDR_PANIC_MSG + PANIC_MSG_BYTES;
+
+/// Name prefix that marks a serialized counter as a TramLib statistic.
+pub(super) const TRAM_PREFIX: &str = "tram.";
 
 unsafe fn write_u64(base: *mut u8, off: usize, value: u64) {
     (base.add(off) as *mut u64).write(value);
@@ -124,7 +128,12 @@ unsafe fn read_u64(base: *const u8, off: usize) -> u64 {
 /// # Safety
 /// `base` must point at a writable [`RESULT_REGION_BYTES`] region owned by
 /// the calling child.
-pub(super) unsafe fn write_result(base: *mut u8, counters: &Counters, panic_msg: Option<&str>) {
+pub(super) unsafe fn write_result(
+    base: *mut u8,
+    counters: &Counters,
+    tram: &Counters,
+    panic_msg: Option<&str>,
+) {
     let mut flags = 0u64;
     let mut panic_len = 0usize;
     if let Some(msg) = panic_msg {
@@ -137,16 +146,25 @@ pub(super) unsafe fn write_result(base: *mut u8, counters: &Counters, panic_msg:
     write_u64(base, HDR_PANIC_LEN, panic_len as u64);
     let mut off = HDR_COUNTERS + 8;
     let mut n = 0u64;
-    for (name, value) in counters.iter() {
-        let name_bytes = name.as_bytes();
-        let padded = name_bytes.len().div_ceil(8) * 8;
+    let entries = counters
+        .iter()
+        .map(|(name, value)| ("", name, value, counters.is_max_key(name)))
+        .chain(
+            tram.iter()
+                .map(|(name, value)| (TRAM_PREFIX, name, value, false)),
+        );
+    for (prefix, name, value, is_max) in entries {
+        let name_len = prefix.len() + name.len();
+        let padded = name_len.div_ceil(8) * 8;
         if off + 24 + padded > RESULT_REGION_BYTES {
             break; // region exhausted: keep what fits
         }
         write_u64(base, off, value);
-        write_u64(base, off + 8, u64::from(counters.is_max_key(name)));
-        write_u64(base, off + 16, name_bytes.len() as u64);
-        std::ptr::copy_nonoverlapping(name_bytes.as_ptr(), base.add(off + 24), name_bytes.len());
+        write_u64(base, off + 8, u64::from(is_max));
+        write_u64(base, off + 16, name_len as u64);
+        let name_at = base.add(off + 24);
+        std::ptr::copy_nonoverlapping(prefix.as_ptr(), name_at, prefix.len());
+        std::ptr::copy_nonoverlapping(name.as_ptr(), name_at.add(prefix.len()), name.len());
         off += 24 + padded;
         n += 1;
     }
@@ -215,7 +233,9 @@ mod tests {
         let mut counters = Counters::new();
         counters.add("app_received", 42);
         counters.max("histo_table_max_bucket", 9);
-        unsafe { write_result(region.as_mut_ptr(), &counters, None) };
+        let mut tram = Counters::new();
+        tram.add("messages_sent", 3);
+        unsafe { write_result(region.as_mut_ptr(), &counters, &tram, None) };
         let result = unsafe { read_result(region.as_ptr()) }.expect("ready");
         assert!(!result.panicked);
         assert!(result.panic_msg.is_empty());
@@ -228,13 +248,21 @@ mod tests {
         };
         assert_eq!(get("app_received"), Some((42, false)));
         assert_eq!(get("histo_table_max_bucket"), Some((9, true)));
+        assert_eq!(get("tram.messages_sent"), Some((3, false)));
     }
 
     #[test]
     fn panic_message_survives_and_truncates() {
         let mut region = vec![0u8; RESULT_REGION_BYTES];
         let long = "x".repeat(4 * PANIC_MSG_BYTES);
-        unsafe { write_result(region.as_mut_ptr(), &Counters::new(), Some(&long)) };
+        unsafe {
+            write_result(
+                region.as_mut_ptr(),
+                &Counters::new(),
+                &Counters::new(),
+                Some(&long),
+            )
+        };
         let result = unsafe { read_result(region.as_ptr()) }.expect("ready");
         assert!(result.panicked);
         assert_eq!(result.panic_msg.len(), PANIC_MSG_BYTES);

@@ -11,10 +11,11 @@
 //! rebuilt on crash-robust terms:
 //!
 //! * **Transport** — a W×W mesh of [`shmem::SegRing`]s carrying fixed-size
-//!   [`worker::WireEnvelope`]s: inline singles, or descriptors of slabs
-//!   sealed into per-worker [`shmem::SegArena`]s (WW/WPs/WsP) with
-//!   refcounted multi-consumer release; PP inserts contend on shared
-//!   [`shmem::SegClaim`] buffers, one per destination process.
+//!   [`worker::WireEnvelope`]s: inline singles (NoAgg), or descriptors of
+//!   slabs sealed into per-worker [`shmem::SegArena`]s with refcounted
+//!   multi-consumer release; PP inserts contend on shared
+//!   [`shmem::SegClaim`] buffers, one per destination process, whose
+//!   drains ship as slabs like a WPs buffer.
 //! * **Death detection** — the supervisor reaps with `wait4`, publishes a
 //!   `dead_mask` survivors consult before shipping or spinning, adopts the
 //!   corpse's inboxes, and settles the global books: every eagerly-counted
@@ -131,12 +132,10 @@ impl ProcessBackendConfig {
         self
     }
 
-    /// Whether the configured scheme seals slabs into per-worker arenas.
+    /// Whether the configured scheme seals slabs into per-worker arenas
+    /// (every aggregating scheme: PP drains ship as slabs too).
     pub(crate) fn uses_arena(&self) -> bool {
-        matches!(
-            self.common.tram.scheme,
-            Scheme::WW | Scheme::WPs | Scheme::WsP
-        )
+        self.common.tram.scheme != Scheme::NoAgg
     }
 
     /// Per-ring capacity: explicit override, or the threaded backend's

@@ -149,7 +149,6 @@ pub(super) fn run(
     // ---- Shared-segment layout ------------------------------------------
     let g = tram.buffer_items.max(1);
     let ring_capacity = config.resolved_ring_capacity(workers);
-    let uses_arena = matches!(scheme, Scheme::WW | Scheme::WPs | Scheme::WsP);
     let arena_slabs = config.resolved_arena_slabs(workers);
     let claim_capacity = g;
     let mut plan = SegmentLayout::new();
@@ -170,7 +169,7 @@ pub(super) fn run(
             )
         })
         .collect();
-    let arena_offs: Vec<usize> = if uses_arena {
+    let arena_offs: Vec<usize> = if config.uses_arena() {
         (0..workers)
             .map(|_| {
                 plan.reserve(
@@ -563,7 +562,7 @@ pub(super) fn run(
     }
     // (2) Empty the PP claim buffers WITHOUT charging their contents: a
     // drainer that died mid-collect left the slot stamps intact, so these
-    // items may already be counted (re-shipped as singles before the
+    // items may already be counted (copied into a shipped slab before the
     // death).  The residual in (3) charges exactly the unaccounted rest.
     let mut discard: Vec<Item<Payload>> = Vec::new();
     for claim in &world.claims {
@@ -615,6 +614,7 @@ pub(super) fn run(
 
     // ---- Merge child results ---------------------------------------------
     let mut counters = Counters::new();
+    let mut tram_counters = Counters::new();
     let mut panicked_workers: Vec<u32> = Vec::new();
     let mut workers_done = 0u32;
     let mut stash_total = 0u64;
@@ -635,7 +635,9 @@ pub(super) fn run(
             // process boundary as bytes.  Interning by leak is bounded by
             // the (small, repeating) set of counter names per process.
             let name: &'static str = Box::leak(name.into_boxed_str());
-            if is_max {
+            if let Some(stat) = name.strip_prefix(layout::TRAM_PREFIX) {
+                tram_counters.add(stat, value);
+            } else if is_max {
                 counters.max(name, value);
             } else {
                 counters.add(name, value);
@@ -713,7 +715,7 @@ pub(super) fn run(
         item_latency: LatencyRecorder::new(),
         latency: None,
         counters,
-        tram: TramStats::new(),
+        tram: TramStats::from_counters(tram_counters),
         delivery_batch_len: metrics::QuantileSketch::default(),
         events_executed: 0,
         items_sent: sent_total,

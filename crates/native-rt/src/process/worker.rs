@@ -21,9 +21,17 @@
 //! * **WsP** — the source sorts before sealing ([`TAG_SLAB_PROC_GROUPED`]);
 //!   the receiver only scans runs.
 //! * **PP** — workers of a process insert into shared [`SegClaim`] buffers,
-//!   one per destination process.  Drains (buffer-full `MustDrain` and
-//!   explicit flushes alike) serialize through the buffer's drain lock and
-//!   re-ship the collected items as singles.
+//!   one per destination process.  Each worker stages its sends per
+//!   destination process in a private run of at most `g` items and claims
+//!   slots for the whole run with one [`SegClaim::insert_slice`] — when the
+//!   run fills, at the end of every scheduling iteration and before every
+//!   flush.  Drains (buffer-full `MustDrain` and explicit flushes alike)
+//!   serialize through the buffer's drain lock and ship the collected items
+//!   as one [`TAG_SLAB_PROC`] slab to the destination's group receiver,
+//!   exactly like a WPs buffer.
+//!
+//! Every shipped message is recorded into the worker's [`TramStats`], whose
+//! counters travel back through the result region into `RunReport::tram`.
 //!
 //! Every delivery failure path funnels through [`drop_envelope`], which
 //! charges the dropped items *and* returns slab storage to the owning arena
@@ -37,9 +45,9 @@ use std::time::{Duration, Instant};
 use metrics::Counters;
 use net_model::{ProcId, Topology, WorkerId};
 use runtime_api::{FaultKind, FaultPlan, FaultTrigger, Payload, RunCtx, WorkerApp};
-use shmem::{SegArena, SegClaim, SegClaimInsert, SegRing};
+use shmem::{SegArena, SegClaim, SegRing};
 use sim_core::StreamRng;
-use tramlib::{Item, Scheme, TramConfig};
+use tramlib::{EmitReason, Item, Scheme, TramConfig, TramStats};
 
 use super::layout::{self, RunCtl, WorkerStatus};
 use crate::sys;
@@ -181,9 +189,18 @@ pub(super) struct ProcCtx<'w> {
     g: usize,
     rng: StreamRng,
     pub(super) counters: Counters,
+    /// Inserts, flush calls and every shipped message, as the threaded
+    /// backend's aggregators record them.  Per-item quantities are tallied
+    /// in plain integers and folded in by [`ProcCtx::finish_stats`]: a
+    /// counter update per item would cost NoAgg a quarter of its rate.
+    pub(super) tram: TramStats,
+    /// Items delivered through the local bypass (folded into `tram`).
+    bypassed: u64,
+    /// NoAgg single-item messages shipped (folded into `tram`).
+    unaggregated: u64,
     /// WW: per-destination-worker buffers.
     bufs_worker: Vec<Vec<Item<Payload>>>,
-    /// WPs/WsP: per-destination-process buffers.
+    /// WPs/WsP: per-destination-process buffers.  PP: the staged runs.
     bufs_proc: Vec<Vec<Item<Payload>>>,
     /// Per-destination overflow stash, retried every quantum (ring-full
     /// backpressure without blocking).
@@ -222,12 +239,15 @@ impl<'w> ProcCtx<'w> {
             g: world.tram.buffer_items.max(1),
             rng: StreamRng::new(world.seed, u64::from(me.0)),
             counters: Counters::new(),
+            tram: TramStats::new(),
+            bypassed: 0,
+            unaggregated: 0,
             bufs_worker: if scheme == Scheme::WW {
                 (0..world.workers).map(|_| Vec::new()).collect()
             } else {
                 Vec::new()
             },
-            bufs_proc: if matches!(scheme, Scheme::WPs | Scheme::WsP) {
+            bufs_proc: if matches!(scheme, Scheme::WPs | Scheme::WsP | Scheme::PP) {
                 (0..world.procs).map(|_| Vec::new()).collect()
             } else {
                 Vec::new()
@@ -318,17 +338,52 @@ impl<'w> ProcCtx<'w> {
         moved
     }
 
-    fn ship_single(&mut self, item: Item<Payload>) {
-        self.counters.incr("wire_messages");
-        self.counters.incr("wire_items");
+    /// Record one shipped message of `items` items.
+    fn record_message(&mut self, items: usize, reason: EmitReason) {
+        let bytes = self.world.tram.message_bytes(items);
+        self.tram.record_message(items, bytes, reason);
+    }
+
+    /// Ship one item as its own message (NoAgg, or a dry arena's fallback).
+    fn ship_single(&mut self, item: Item<Payload>, reason: EmitReason) {
+        if reason == EmitReason::Unaggregated {
+            self.unaggregated += 1;
+        } else {
+            self.record_message(1, reason);
+        }
         let dst = item.dest.0 as usize;
         self.push_env(dst, WireEnvelope::single(item));
+    }
+
+    /// Fold the per-item tallies into the TramLib statistics and derive the
+    /// wire counters from them.  Call once, before the result is written.
+    pub(super) fn finish_stats(&mut self) {
+        let bytes = self.world.tram.message_bytes(1) * self.unaggregated;
+        self.tram.record_messages(
+            self.unaggregated,
+            self.unaggregated,
+            bytes,
+            EmitReason::Unaggregated,
+        );
+        self.unaggregated = 0;
+        self.tram
+            .record_sends(self.local_sent - self.bypassed, self.bypassed);
+        self.bypassed = 0;
+        self.counters
+            .add("wire_messages", self.tram.messages_sent());
+        self.counters.add("wire_items", self.tram.items_sent());
     }
 
     /// Seal `buf` into a slab of this worker's arena and ship the descriptor
     /// to `dst`; a dry arena degrades to singles (a throughput dip recorded
     /// in `arena_claim_misses`, never a loss).
-    fn ship_slab(&mut self, dst: usize, tag: u32, buf: &mut Vec<Item<Payload>>) {
+    fn ship_slab(
+        &mut self,
+        dst: usize,
+        tag: u32,
+        buf: &mut Vec<Item<Payload>>,
+        reason: EmitReason,
+    ) {
         let me = self.me.0 as usize;
         let arena = self.world.arenas[me];
         if let Some(slab) = arena.try_claim() {
@@ -339,8 +394,7 @@ impl<'w> ProcCtx<'w> {
                 unsafe { arena.write(slab, i, *item) };
             }
             let handle = arena.seal(slab, buf.len() as u32);
-            self.counters.incr("wire_messages");
-            self.counters.add("wire_items", buf.len() as u64);
+            self.record_message(buf.len(), reason);
             self.push_env(
                 dst,
                 WireEnvelope::slab(
@@ -355,21 +409,21 @@ impl<'w> ProcCtx<'w> {
         } else {
             self.counters.incr("arena_claim_misses");
             for item in buf.drain(..) {
-                self.ship_single(item);
+                self.ship_single(item, reason);
             }
         }
         buf.clear();
     }
 
-    fn emit_worker(&mut self, dst: usize) {
+    fn emit_worker(&mut self, dst: usize, reason: EmitReason) {
         let mut buf = std::mem::take(&mut self.bufs_worker[dst]);
         if !buf.is_empty() {
-            self.ship_slab(dst, TAG_SLAB_WORKER, &mut buf);
+            self.ship_slab(dst, TAG_SLAB_WORKER, &mut buf, reason);
         }
         self.bufs_worker[dst] = buf;
     }
 
-    fn emit_proc(&mut self, dst_proc: usize) {
+    fn emit_proc(&mut self, dst_proc: usize, reason: EmitReason) {
         let mut buf = std::mem::take(&mut self.bufs_proc[dst_proc]);
         if !buf.is_empty() {
             let tag = if self.scheme == Scheme::WsP {
@@ -379,56 +433,84 @@ impl<'w> ProcCtx<'w> {
             } else {
                 TAG_SLAB_PROC
             };
-            let receiver = self
-                .world
-                .topo
-                .group_receiver(self.my_proc, ProcId(dst_proc as u32));
-            self.ship_slab(receiver.0 as usize, tag, &mut buf);
+            self.ship_to_group_receiver(dst_proc, tag, &mut buf, reason);
         }
         self.bufs_proc[dst_proc] = buf;
     }
 
-    /// PP insert with the shared claim buffer's full protocol: `Stored` is
-    /// the hot path, `MustDrain` takes the drain lock, `Retry` backs off —
-    /// and bails (dropping the item) once the run is stopping or a sibling
-    /// writer died holding the buffer wedged.
-    fn pp_insert(&mut self, item: Item<Payload>) {
-        let dst_proc = self.world.topo.proc_of_worker(item.dest).0 as usize;
-        let claim = self.world.claim(self.my_proc.0 as usize, dst_proc);
-        let mut spins = 0u32;
-        loop {
-            match claim.insert(item) {
-                SegClaimInsert::Stored => return,
-                SegClaimInsert::MustDrain => {
-                    self.drain_claim(claim);
-                    return;
-                }
-                SegClaimInsert::Retry => {
-                    if self.world.ctl().stop.load(Ordering::Acquire) != 0 || self.sibling_dead() {
-                        self.add_dropped(1);
-                        return;
-                    }
-                    spins += 1;
-                    if spins < 64 {
-                        std::hint::spin_loop();
-                    } else {
-                        std::thread::yield_now();
-                    }
-                    if spins % 1024 == 0 {
-                        // A long-wedged buffer usually means its drainer
-                        // died: pick up the dead mask without waiting for
-                        // the next quantum.
-                        self.refresh_dead();
-                    }
-                }
-            }
+    /// Ship a process-addressed buffer to the worker that runs the grouping
+    /// pass for (this process, `dst_proc`) — the simulator's spread rule.
+    fn ship_to_group_receiver(
+        &mut self,
+        dst_proc: usize,
+        tag: u32,
+        buf: &mut Vec<Item<Payload>>,
+        reason: EmitReason,
+    ) {
+        let receiver = self
+            .world
+            .topo
+            .group_receiver(self.my_proc, ProcId(dst_proc as u32));
+        self.ship_slab(receiver.0 as usize, tag, buf, reason);
+    }
+
+    /// Push every staged PP run into its shared claim buffer (a no-op under
+    /// the other schemes, whose `bufs_proc` are WPs/WsP buffers).
+    pub(super) fn push_pp_runs(&mut self) {
+        if self.scheme != Scheme::PP {
+            return;
+        }
+        for dst_proc in 0..self.bufs_proc.len() {
+            self.push_pp_run(dst_proc);
         }
     }
 
-    /// Take the drain lock and seal-flush `claim`, re-shipping the collected
-    /// items as singles.  Losing the lock race is fine: the holder's swap
-    /// covers every slot claimed before it, including ours.
-    fn drain_claim(&mut self, claim: SegClaim<Item<Payload>>) {
+    /// Claim slots for the staged run towards `dst_proc` with the shared
+    /// claim buffer's full protocol: a stored part advances the run,
+    /// `must_drain` takes the drain lock, a full buffer backs off — and bails
+    /// (dropping the rest of the run) once the run is stopping or a sibling
+    /// writer died holding the buffer wedged.
+    fn push_pp_run(&mut self, dst_proc: usize) {
+        if self.bufs_proc[dst_proc].is_empty() {
+            return;
+        }
+        let mut run = std::mem::take(&mut self.bufs_proc[dst_proc]);
+        let claim = self.world.claim(self.my_proc.0 as usize, dst_proc);
+        let mut pos = 0;
+        let mut spins = 0u32;
+        while pos < run.len() {
+            let claimed = claim.insert_slice(&run[pos..]);
+            pos += claimed.stored;
+            if claimed.must_drain {
+                self.drain_claim(claim, dst_proc, EmitReason::BufferFull);
+            } else if claimed.stored == 0 {
+                if self.world.ctl().stop.load(Ordering::Acquire) != 0 || self.sibling_dead() {
+                    self.add_dropped((run.len() - pos) as u64);
+                    break;
+                }
+                spins += 1;
+                if spins < 64 {
+                    std::hint::spin_loop();
+                } else {
+                    std::thread::yield_now();
+                }
+                if spins % 1024 == 0 {
+                    // A long-wedged buffer usually means its drainer died:
+                    // pick up the dead mask without waiting for the next
+                    // quantum.
+                    self.refresh_dead();
+                }
+            }
+        }
+        run.clear();
+        self.bufs_proc[dst_proc] = run;
+    }
+
+    /// Take the drain lock and seal-flush `claim`, shipping the collected
+    /// items as one slab to the group receiver of `dst_proc`.  Losing the
+    /// lock race is fine: the holder's swap covers every slot claimed before
+    /// it, including ours.
+    fn drain_claim(&mut self, claim: SegClaim<Item<Payload>>, dst_proc: usize, reason: EmitReason) {
         if !claim.try_begin_drain(self.me.0) {
             return;
         }
@@ -444,8 +526,8 @@ impl<'w> ProcCtx<'w> {
         // send was already counted, so charge the drop here.
         self.add_dropped(skipped);
         self.counters.incr("pp_seal_flushes");
-        for item in out.drain(..) {
-            self.ship_single(item);
+        if !out.is_empty() {
+            self.ship_to_group_receiver(dst_proc, TAG_SLAB_PROC, &mut out, reason);
         }
         self.drain_buf = out;
     }
@@ -477,6 +559,38 @@ impl<'w> ProcCtx<'w> {
             }
         }
         dropped
+    }
+
+    /// Push the staged PP runs, then drain every buffer that holds items
+    /// (the explicit/idle flush of all five schemes).
+    fn flush_with(&mut self, reason: EmitReason) {
+        self.flush_emits += 1;
+        self.status()
+            .flush_emits
+            .store(self.flush_emits, Ordering::Relaxed);
+        match self.scheme {
+            Scheme::NoAgg => {}
+            Scheme::WW => {
+                for dst in 0..self.world.workers {
+                    self.emit_worker(dst, reason);
+                }
+            }
+            Scheme::WPs | Scheme::WsP => {
+                for dst_proc in 0..self.world.procs {
+                    self.emit_proc(dst_proc, reason);
+                }
+            }
+            Scheme::PP => {
+                self.push_pp_runs();
+                let src_proc = self.my_proc.0 as usize;
+                for dst_proc in 0..self.world.procs {
+                    let claim = self.world.claim(src_proc, dst_proc);
+                    if claim.claim_count() > 0 {
+                        self.drain_claim(claim, dst_proc, reason);
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -515,61 +629,42 @@ impl RunCtx for ProcCtx<'_> {
             // here, but not a *modelled* one — matching the threaded
             // backend's accounting).
             self.counters.incr("local_deliveries");
+            self.bypassed += 1;
             self.push_env(dest.0 as usize, WireEnvelope::single(item));
             return;
         }
         match self.scheme {
-            Scheme::NoAgg => self.ship_single(item),
+            Scheme::NoAgg => self.ship_single(item, EmitReason::Unaggregated),
             Scheme::WW => {
                 let dst = dest.0 as usize;
                 self.bufs_worker[dst].push(item);
                 if self.bufs_worker[dst].len() >= self.g {
-                    self.emit_worker(dst);
+                    self.emit_worker(dst, EmitReason::BufferFull);
                 }
             }
-            Scheme::WPs | Scheme::WsP => {
+            Scheme::WPs | Scheme::WsP | Scheme::PP => {
                 let dst = dst_proc.0 as usize;
                 self.bufs_proc[dst].push(item);
-                if self.bufs_proc[dst].len() >= self.g {
-                    self.emit_proc(dst);
+                if self.bufs_proc[dst].len() < self.g {
+                    return;
+                }
+                if self.scheme == Scheme::PP {
+                    self.push_pp_run(dst);
+                } else {
+                    self.emit_proc(dst, EmitReason::BufferFull);
                 }
             }
-            Scheme::PP => self.pp_insert(item),
         }
     }
 
     fn flush(&mut self) {
-        self.flush_emits += 1;
-        self.status()
-            .flush_emits
-            .store(self.flush_emits, Ordering::Relaxed);
-        match self.scheme {
-            Scheme::NoAgg => {}
-            Scheme::WW => {
-                for dst in 0..self.world.workers {
-                    self.emit_worker(dst);
-                }
-            }
-            Scheme::WPs | Scheme::WsP => {
-                for dst_proc in 0..self.world.procs {
-                    self.emit_proc(dst_proc);
-                }
-            }
-            Scheme::PP => {
-                let src_proc = self.my_proc.0 as usize;
-                for dst_proc in 0..self.world.procs {
-                    let claim = self.world.claim(src_proc, dst_proc);
-                    if claim.claim_count() > 0 {
-                        self.drain_claim(claim);
-                    }
-                }
-            }
-        }
+        self.tram.record_flush_call();
+        self.flush_with(EmitReason::ExplicitFlush);
     }
 
     fn flush_on_idle(&mut self) {
         if self.world.tram.flush_policy.on_idle {
-            self.flush();
+            self.flush_with(EmitReason::IdleFlush);
         }
     }
 }
@@ -779,6 +874,9 @@ fn child_loop(world: &World, app: &mut dyn WorkerApp, ctx: &mut ProcCtx<'_>) {
         if !did_work && !quiescing && !throttled && !app.local_done() {
             did_work = app.on_idle(ctx);
         }
+        // Staged PP runs enter the shared buffers every iteration, before
+        // the done flag: a staged item never outlives its iteration.
+        ctx.push_pp_runs();
         let done = (app.local_done() || quiesced) && ctx.buffers_empty();
         ctx.status()
             .stash
@@ -816,18 +914,28 @@ pub(super) fn child_main(world: &World, me: WorkerId, mut app: Box<dyn WorkerApp
         child_loop(world, app.as_mut(), &mut ctx);
     }));
     let region = world.result_region(me.0 as usize);
+    ctx.finish_stats();
     let code = match result {
         Ok(()) => {
             match catch_unwind(AssertUnwindSafe(|| app.on_finalize(&mut ctx.counters))) {
                 Ok(()) => {
                     // SAFETY: this child owns its region exclusively.
-                    unsafe { layout::write_result(region, &ctx.counters, None) };
+                    unsafe {
+                        layout::write_result(region, &ctx.counters, ctx.tram.counters(), None)
+                    };
                     0
                 }
                 Err(payload) => {
                     let message = crate::threaded::panic_message(payload.as_ref());
                     // SAFETY: as above.
-                    unsafe { layout::write_result(region, &ctx.counters, Some(&message)) };
+                    unsafe {
+                        layout::write_result(
+                            region,
+                            &ctx.counters,
+                            ctx.tram.counters(),
+                            Some(&message),
+                        )
+                    };
                     101
                 }
             }
@@ -837,7 +945,9 @@ pub(super) fn child_main(world: &World, me: WorkerId, mut app: Box<dyn WorkerApp
             let dropped = ctx.abandon_production();
             ctx.add_dropped(dropped);
             // SAFETY: as above.
-            unsafe { layout::write_result(region, &ctx.counters, Some(&message)) };
+            unsafe {
+                layout::write_result(region, &ctx.counters, ctx.tram.counters(), Some(&message))
+            };
             101
         }
     };

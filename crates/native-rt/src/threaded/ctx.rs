@@ -12,7 +12,7 @@ use std::sync::atomic::Ordering;
 use metrics::{Counters, LatencyRecorder, QuantileSketch};
 use net_model::{ProcId, WorkerId};
 use runtime_api::{Payload, RunCtx, WorkerApp};
-use shmem::{ClaimResult, SlabArena, SlabHandle};
+use shmem::{SlabArena, SlabHandle};
 use sim_core::StreamRng;
 use tramlib::{
     AdaptiveTimeout, Aggregator, EmitReason, EmittedMessage, Item, MessageDest, OutboundMessage,
@@ -59,6 +59,13 @@ pub(crate) struct NativeWorkerCtx<'a> {
     /// PP only: this worker's adaptive-timeout controller (worker-owned
     /// aggregators embed their own inside `tramlib`).
     pub(crate) pp_adaptive: Option<AdaptiveTimeout>,
+    /// PP only: per-destination-process staged runs, at most `g` items each.
+    /// A run enters its shared claim buffer with one
+    /// [`shmem::ClaimBuffer::insert_slice`] when it fills, at the end of
+    /// every scheduling iteration ([`NativeWorkerCtx::push_pp_runs`]) and
+    /// before every flush, so the buffer's two atomics are paid per run
+    /// instead of per item.
+    pp_runs: Vec<Batch>,
     /// Per-destination-worker local-bypass batches (same-process traffic),
     /// indexed by destination worker.  Shipped when a batch reaches
     /// `local_batch_items` or the worker runs out of other work.
@@ -76,10 +83,10 @@ pub(crate) struct NativeWorkerCtx<'a> {
     /// the worker (message emit, local-batch ship) and once per scheduling
     /// loop, so the quiescence invariant — an item's sent increment
     /// happens-before its delivered increment — still holds while the hot
-    /// path pays one atomic per batch instead of one per item.  PP sends
-    /// bypass this accumulator: an item inserted into a process-shared claim
-    /// buffer can be sealed and emitted by a *sibling* worker before this
-    /// worker publishes, so it must be counted at insert time.
+    /// path pays one atomic per batch instead of one per item.  PP publishes
+    /// just before each claim: an item inserted into a process-shared claim
+    /// buffer can be sealed and emitted by a *sibling* worker, so it must be
+    /// counted before it becomes visible there.
     pub(crate) pending_sent: u64,
     /// Delivered items not yet published to the shared counter; published
     /// once per scheduling loop, strictly after [`NativeWorkerCtx::
@@ -181,6 +188,11 @@ impl<'a> NativeWorkerCtx<'a> {
                 shared.tram.flush_policy.adaptive.map(AdaptiveTimeout::new)
             } else {
                 None
+            },
+            pp_runs: if shared.tram.scheme == Scheme::PP {
+                (0..shared.topo.total_procs()).map(|_| Vec::new()).collect()
+            } else {
+                Vec::new()
             },
             local_out: (0..shared.topo.total_workers())
                 .map(|_| Vec::new())
@@ -721,9 +733,10 @@ impl<'a> NativeWorkerCtx<'a> {
 
     /// Quarantine entry: drop everything this worker produced but had not
     /// shipped — aggregator buffers and mid-fill slabs, local-bypass
-    /// batches, stashed envelopes.  Every dropped item was already counted
-    /// sent (publish-before-ship), so counting it dropped keeps the
-    /// conservation ledger exact.  Returns the number of items dropped.
+    /// batches, staged PP runs, stashed envelopes.  Every dropped item was
+    /// already counted sent (publish-before-ship), so counting it dropped
+    /// keeps the conservation ledger exact.  Returns the number of items
+    /// dropped.
     pub(crate) fn abandon_production(&mut self) -> u64 {
         let mut dropped = 0u64;
         if let Some(mut agg) = self.aggregator.take() {
@@ -734,6 +747,10 @@ impl<'a> NativeWorkerCtx<'a> {
             let batch = std::mem::take(&mut self.local_out[dest]);
             dropped += batch.len() as u64;
             self.retain_spare(batch);
+        }
+        for run in &mut self.pp_runs {
+            dropped += run.len() as u64;
+            run.clear();
         }
         let me = self.me.idx();
         for lane in 0..self.stash.len() {
@@ -753,9 +770,9 @@ impl<'a> NativeWorkerCtx<'a> {
         dropped
     }
 
-    /// PP insertion: claim a slot in the shared buffer towards the item's
-    /// destination process, forwarding the sealed contents if this worker
-    /// claimed the last slot.
+    /// PP insertion: stage the item in the run towards its destination
+    /// process, pushing the run into the shared buffer once it holds `g`
+    /// items.
     fn send_pp(&mut self, item: Item<Payload>) {
         let shared = self.shared;
         let dst_proc = shared.topo.proc_of_worker(item.dest);
@@ -768,30 +785,56 @@ impl<'a> NativeWorkerCtx<'a> {
         if self.has_timeout && self.pp_oldest_ns.is_none() {
             self.pp_oldest_ns = Some(self.now_cache);
         }
-        let buffer = &shared.pp[self.my_proc.idx()][dst_proc.idx()];
-        let mut pending = item;
+        let run = &mut self.pp_runs[dst_proc.idx()];
+        run.push(item);
+        if run.len() >= shared.tram.buffer_items {
+            self.push_pp_run(dst_proc.idx());
+        }
+    }
+
+    /// Push every staged PP run into its shared buffer.  The scheduling
+    /// loops call this at the end of every iteration, before the sent count
+    /// and the done flag are published, so a staged item never outlives the
+    /// iteration that produced it.
+    pub(crate) fn push_pp_runs(&mut self) {
+        for dst in 0..self.pp_runs.len() {
+            self.push_pp_run(dst);
+        }
+    }
+
+    /// Claim slots for the staged run towards process `dst` — one
+    /// `insert_slice` per attempt — forwarding the sealed contents whenever
+    /// the run covers a buffer's last slot.
+    fn push_pp_run(&mut self, dst: usize) {
+        if self.pp_runs[dst].is_empty() {
+            return;
+        }
+        // Counted before any item becomes visible to a sibling drainer.
+        self.publish_sent();
+        let mut run = std::mem::take(&mut self.pp_runs[dst]);
+        let shared = self.shared;
+        let buffer = &shared.pp[self.my_proc.idx()][dst];
+        let mut pos = 0;
         let mut attempts = 0u32;
-        loop {
-            match buffer.insert(pending) {
-                ClaimResult::Stored => break,
-                ClaimResult::Sealed(items) => {
-                    self.emit_pp(dst_proc, items, EmitReason::BufferFull);
-                    break;
+        while pos < run.len() {
+            let claimed = buffer.insert_slice(&run[pos..]);
+            pos += claimed.stored;
+            if let Some(items) = claimed.sealed {
+                self.emit_pp(ProcId(dst as u32), items, EmitReason::BufferFull);
+            } else if claimed.stored == 0 {
+                // Another worker is mid-drain of the sealed buffer; on an
+                // oversubscribed host it needs our CPU to finish, so
+                // escalate from spinning to yielding.
+                if attempts < 32 {
+                    std::hint::spin_loop();
+                } else {
+                    std::thread::yield_now();
                 }
-                ClaimResult::Retry(value) => {
-                    pending = value;
-                    // A Retry means another worker is mid-drain of the sealed
-                    // buffer; on an oversubscribed host it needs our CPU to
-                    // finish, so escalate from spinning to yielding.
-                    if attempts < 32 {
-                        std::hint::spin_loop();
-                    } else {
-                        std::thread::yield_now();
-                    }
-                    attempts = attempts.saturating_add(1);
-                }
+                attempts = attempts.saturating_add(1);
             }
         }
+        run.clear();
+        self.pp_runs[dst] = run;
     }
 
     /// Wrap drained PP items into an outbound process-addressed message.
@@ -813,8 +856,10 @@ impl<'a> NativeWorkerCtx<'a> {
         });
     }
 
-    /// Seal-flush every shared PP buffer of this worker's process.
+    /// Push the staged runs, then seal-flush every shared PP buffer of this
+    /// worker's process.
     fn flush_pp(&mut self, reason: EmitReason) {
+        self.push_pp_runs();
         let shared = self.shared;
         for dst in 0..shared.pp[self.my_proc.idx()].len() {
             let items = shared.pp[self.my_proc.idx()][dst].seal_flush();
@@ -929,14 +974,11 @@ impl RunCtx for NativeWorkerCtx<'_> {
     fn send(&mut self, dest: WorkerId, payload: Payload) {
         let created = self.now_cache;
         let item = Item::new(dest, payload, created);
+        self.pending_sent += 1;
         if self.shared.tram.scheme == Scheme::PP {
-            // Counted eagerly: a sibling worker may seal and emit this item
-            // before our next publish (see the `pending_sent` docs).
-            self.shared.items_sent[self.me.idx()].fetch_add(1, Ordering::Relaxed);
             self.send_pp(item);
             return;
         }
-        self.pending_sent += 1;
         if let Some(arena) = self.arena {
             // Zero-copy path: the item is written straight into its
             // destination's slab slot; nothing else happens until a slab

@@ -248,11 +248,13 @@ fn mesh_loop(
         if !did_work && !quiescing && !app.local_done() && !throttled {
             did_work = app.on_idle(ctx);
         }
-        // Publish batched sends before reporting done (the monitor must see
-        // every send that precedes a true done flag), and batched deliveries
-        // strictly after the sends (a delivered item's handler-generated
-        // sends must always be counted first).  The done flag is monotonic,
-        // so one store suffices.
+        // Push staged PP runs into the shared buffers, then publish batched
+        // sends before reporting done (the monitor must see every send that
+        // precedes a true done flag), and batched deliveries strictly after
+        // the sends (a delivered item's handler-generated sends must always
+        // be counted first).  The done flag is monotonic, so one store
+        // suffices.
+        ctx.push_pp_runs();
         ctx.publish_sent();
         if !done_stored && (app.local_done() || quiesced) {
             shared.workers_done[me_i].store(true, Ordering::Release);

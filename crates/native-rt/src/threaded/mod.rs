@@ -10,7 +10,10 @@
 //!
 //! ```text
 //! worker thread ──insert──▶ Aggregator (WW/WPs/WsP/NoAgg, private)
-//!                           ClaimBuffer (PP, shared, lock-free)
+//!        │        ──stage──▶ run (PP, private, ≤ g items)
+//!        │                     │ insert_slice: one claim per run
+//!        │                     ▼
+//!        │                  ClaimBuffer (PP, shared, lock-free)
 //!        │                                         │ sealed/flushed message
 //!        │ local bypass: item batches              ▼
 //!        └─────────▶ mesh[src][dst] SPSC ring ──▶ destination worker:
@@ -37,8 +40,10 @@
 //! the bottleneck the mesh removes; `bench::throughput` measures the two
 //! topologies against each other.
 //!
-//! **Termination.**  Every `send` increments the sending worker's padded
-//! `items_sent` slot and every completed `on_item` handler batch increments
+//! **Termination.**  Every `send` is counted into the sending worker's
+//! padded `items_sent` slot — published before the item can leave the
+//! worker (for PP: just before the claim that makes its run visible to a
+//! sibling drainer) — and every completed `on_item` handler batch increments
 //! the delivering worker's `items_delivered` slot — per-worker counters, so
 //! the hot path never bounces a shared cache line.  An item that is buffered,
 //! stashed, in flight, or queued keeps the `items_sent` sum ahead of the
@@ -1541,6 +1546,62 @@ mod tests {
             b.outcome.signature(),
             "one seed must reproduce one outcome"
         );
+    }
+
+    #[test]
+    fn quarantined_pp_worker_drops_its_staged_run() {
+        // Worker 2 stages a run of sends towards the other process and
+        // panics in the same handler, before its iteration ends.  The staged
+        // run never reached the shared claim buffer, so quarantine must count
+        // it dropped: sent == delivered + dropped with nothing delivered.
+        struct SendThenPanic {
+            me: WorkerId,
+            done: bool,
+        }
+        impl WorkerApp for SendThenPanic {
+            fn on_item(&mut self, _item: Payload, _created: u64, _ctx: &mut dyn RunCtx) {}
+            fn on_idle(&mut self, ctx: &mut dyn RunCtx) -> bool {
+                if self.done {
+                    return false;
+                }
+                self.done = true;
+                if self.me.0 == 2 {
+                    for i in 0..10 {
+                        ctx.send(WorkerId(6), Payload::new(i, 0));
+                    }
+                    panic!("worker 2 fails with a staged run");
+                }
+                true
+            }
+            fn local_done(&self) -> bool {
+                self.done
+            }
+        }
+        for delivery in [DeliveryTopology::Mesh, DeliveryTopology::Star] {
+            let topo = Topology::smp(1, 2, 4);
+            let tram = TramConfig::new(Scheme::PP, topo).with_buffer_items(32);
+            let report = run_threaded(
+                NativeBackendConfig::new(tram)
+                    .with_delivery(delivery)
+                    .with_max_wall(Duration::from_secs(20)),
+                |w| Box::new(SendThenPanic { me: w, done: false }),
+            );
+            let RunOutcome::Aborted { diagnostics, .. } = &report.outcome else {
+                panic!(
+                    "{delivery:?}: expected an aborted outcome, got {:?}",
+                    report.outcome
+                );
+            };
+            assert_eq!(diagnostics.panicked_workers, vec![2], "{delivery:?}");
+            assert_eq!(diagnostics.items_sent, 10, "{delivery:?}");
+            assert_eq!(diagnostics.items_delivered, 0, "{delivery:?}");
+            assert_eq!(
+                diagnostics.items_dropped,
+                10,
+                "{delivery:?}: the staged run is counted dropped: {}",
+                diagnostics.render()
+            );
+        }
     }
 
     #[test]

@@ -138,10 +138,12 @@ fn star_loop(
         if !did_work && !quiescing && !app.local_done() {
             did_work = app.on_idle(ctx);
         }
-        // Publish batched sends before reporting done (the monitor must see
-        // every send that precedes a true done flag), and batched deliveries
-        // strictly after the sends (a delivered item's handler-generated
-        // sends must always be counted first).
+        // Push staged PP runs into the shared buffers, then publish batched
+        // sends before reporting done (the monitor must see every send that
+        // precedes a true done flag), and batched deliveries strictly after
+        // the sends (a delivered item's handler-generated sends must always
+        // be counted first).
+        ctx.push_pp_runs();
         ctx.publish_sent();
         shared.workers_done[me.idx()].store(app.local_done() || quiesced, Ordering::Release);
         ctx.publish_delivered();

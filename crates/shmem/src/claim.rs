@@ -9,9 +9,11 @@
 //!
 //! The hot path is genuinely lock-free: slots live in a fixed
 //! `Box<[UnsafeCell<MaybeUninit<T>>]>` and an insert is one `fetch_add`, one
-//! plain slot write, and one `fetch_add` — no mutex anywhere.  The
-//! memory-ordering contract is documented on each atomic and summarised in
-//! `docs/DESIGN.md` §3.
+//! plain slot write, and one `fetch_add` — no mutex anywhere.  A run insert
+//! ([`ClaimBuffer::insert_slice`]) spreads the same two atomics over a whole
+//! run of items: one `fetch_add(n)` claims `n` slots, one `fetch_add(k)`
+//! publishes the `k` of them that fit.  The memory-ordering contract is
+//! documented on each atomic and summarised in `docs/DESIGN.md` §3.
 
 use crossbeam_utils::CachePadded;
 use std::cell::UnsafeCell;
@@ -29,6 +31,19 @@ pub enum ClaimResult<T> {
     /// The buffer is currently sealed (another thread is draining it); the item
     /// was not stored and should be retried.
     Retry(T),
+}
+
+/// Outcome of a run insert ([`ClaimBuffer::insert_slice`]).
+#[derive(Debug, PartialEq, Eq)]
+pub struct ClaimRun<T> {
+    /// How many leading items of the run were stored.  0 means the buffer
+    /// was sealed (another thread is draining it): retry the whole run.
+    /// Fewer than the run's length means the run straddled capacity: retry
+    /// the rest once the buffer reopens.
+    pub stored: usize,
+    /// `Some` when the stored part covered the last slot: this inserter
+    /// drained the full, sealed buffer and must forward the contents.
+    pub sealed: Option<Vec<T>>,
 }
 
 /// A shared, bounded aggregation buffer with atomic slot claiming.
@@ -108,21 +123,61 @@ impl<T> ClaimBuffer<T> {
         // `fetch_add`, and the reopen protocol guarantees the previous
         // generation's value was already moved out of the slot.
         unsafe { (*self.slots[slot as usize].get()).write(item) };
-        // AcqRel: the Release half publishes the slot write to the drainer
-        // that acquires `committed` below / in `seal_flush`.
-        self.committed.fetch_add(1, Ordering::AcqRel);
-        if slot as usize == self.capacity - 1 {
-            // We claimed the last slot: wait for all other writers to commit,
-            // then take the contents.
-            self.wait_committed(self.capacity as u64);
-            // SAFETY: all `capacity` slots are claimed and committed, and the
-            // buffer is sealed (`claim >= capacity`), so this thread is the
-            // only one reading the slots.
-            let items = unsafe { self.take_slots(self.capacity) };
-            self.reopen();
-            return ClaimResult::Sealed(items);
+        match self.publish(slot as usize, 1) {
+            Some(items) => ClaimResult::Sealed(items),
+            None => ClaimResult::Stored,
         }
-        ClaimResult::Stored
+    }
+
+    /// Insert a run of items with one claim: `fetch_add(n)` hands out `n`
+    /// slots, the leading `min(n, capacity - first)` are written and
+    /// published with one commit.  The caller whose run covers the last slot
+    /// drains the sealed buffer, exactly as the single-item winner does; the
+    /// claim overshoot past capacity is harmless because reopen stores 0.
+    /// See [`ClaimRun`] for what the caller retries.
+    pub fn insert_slice(&self, items: &[T]) -> ClaimRun<T>
+    where
+        T: Copy,
+    {
+        let n = items.len();
+        // AcqRel: as in `insert`.
+        let first = self.claim.fetch_add(n as u64, Ordering::AcqRel);
+        if first >= self.capacity as u64 {
+            return ClaimRun {
+                stored: 0,
+                sealed: None,
+            };
+        }
+        let first = first as usize;
+        let stored = n.min(self.capacity - first);
+        for (slot, item) in self.slots[first..first + stored].iter().zip(items) {
+            // SAFETY: slots `first..first + stored` were claimed exclusively
+            // by this thread's `fetch_add` and lie below capacity; the reopen
+            // protocol guarantees their previous values were moved out.
+            unsafe { (*slot.get()).write(*item) };
+        }
+        let sealed = self.publish(first, stored);
+        ClaimRun { stored, sealed }
+    }
+
+    /// Commit `written` slots starting at `first`; if they end at the last
+    /// slot, wait for every other writer, drain and reopen.
+    fn publish(&self, first: usize, written: usize) -> Option<Vec<T>> {
+        // AcqRel: the Release half publishes the slot writes to the drainer
+        // that acquires `committed` below / in `seal_flush`.
+        self.committed.fetch_add(written as u64, Ordering::AcqRel);
+        if first + written < self.capacity {
+            return None;
+        }
+        // We claimed the last slot: wait for all other writers to commit,
+        // then take the contents.
+        self.wait_committed(self.capacity as u64);
+        // SAFETY: all `capacity` slots are claimed and committed, and the
+        // buffer is sealed (`claim >= capacity`), so this thread is the only
+        // one reading the slots.
+        let items = unsafe { self.take_slots(self.capacity) };
+        self.reopen();
+        Some(items)
     }
 
     /// Seal the buffer against concurrent inserters and drain whatever has
@@ -319,6 +374,142 @@ mod tests {
         all.sort_unstable();
         all.dedup();
         assert_eq!(all.len() as u64, threads * per_thread, "every value unique");
+    }
+
+    #[test]
+    fn run_straddling_capacity_stores_its_leading_part_and_drains() {
+        let buffer = ClaimBuffer::new(4);
+        assert_eq!(
+            buffer.insert_slice(&[1, 2]),
+            ClaimRun {
+                stored: 2,
+                sealed: None
+            }
+        );
+        // Slots 2..4 are free: the run stores [3, 4], covers the last slot
+        // and drains; 5 and 6 are the caller's to retry.
+        assert_eq!(
+            buffer.insert_slice(&[3, 4, 5, 6]),
+            ClaimRun {
+                stored: 2,
+                sealed: Some(vec![1, 2, 3, 4])
+            }
+        );
+        assert_eq!(buffer.generation(), 1);
+        assert_eq!(buffer.insert_slice(&[5, 6]).stored, 2);
+        assert_eq!(buffer.seal_flush(), vec![5, 6]);
+        assert_eq!(buffer.insert_slice(&[]).stored, 0);
+    }
+
+    #[test]
+    fn run_longer_than_capacity_fills_one_generation_per_claim() {
+        let buffer = ClaimBuffer::new(3);
+        let items: Vec<u32> = (0..8).collect();
+        let mut drained = Vec::new();
+        let mut pos = 0;
+        while pos < items.len() {
+            let run = buffer.insert_slice(&items[pos..]);
+            assert!(run.stored > 0, "an open buffer always takes part of a run");
+            pos += run.stored;
+            drained.extend(run.sealed.unwrap_or_default());
+        }
+        assert_eq!(drained, (0..6).collect::<Vec<_>>());
+        assert_eq!(buffer.generation(), 2);
+        drained.extend(buffer.seal_flush());
+        assert_eq!(drained, items);
+    }
+
+    #[test]
+    fn run_into_a_sealed_buffer_stores_nothing() {
+        let buffer = ClaimBuffer::new(4);
+        buffer.insert_slice(&[1, 2]);
+        // Play a drainer that has sealed the buffer and not yet drained it.
+        let claimed = buffer.claim.swap(4, Ordering::AcqRel);
+        assert_eq!(claimed, 2);
+        assert_eq!(
+            buffer.insert_slice(&[7, 8]),
+            ClaimRun {
+                stored: 0,
+                sealed: None
+            }
+        );
+        // Unseal again: the rejected run left nothing behind.
+        buffer.claim.store(claimed, Ordering::Release);
+        assert_eq!(buffer.seal_flush(), vec![1, 2]);
+        assert_eq!(buffer.insert_slice(&[7, 8]).stored, 2);
+        assert_eq!(buffer.seal_flush(), vec![7, 8]);
+    }
+
+    /// Inserts `threads * per_thread` distinct values in runs of random
+    /// length `1..=2 * capacity` against `flushes` concurrent `seal_flush`
+    /// calls; returns everything drained.
+    fn race_runs(capacity: usize, threads: u64, per_thread: u64, flushes: u32) -> Vec<u64> {
+        let buffer: Arc<ClaimBuffer<u64>> = Arc::new(ClaimBuffer::new(capacity));
+        let collected: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
+        let inserters: Vec<_> = (0..threads)
+            .map(|t| {
+                let buffer = buffer.clone();
+                let collected = collected.clone();
+                std::thread::spawn(move || {
+                    let values: Vec<u64> = (t * per_thread..(t + 1) * per_thread).collect();
+                    let mut rng = t.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+                    let mut pos = 0;
+                    while pos < values.len() {
+                        rng ^= rng << 13;
+                        rng ^= rng >> 7;
+                        rng ^= rng << 17;
+                        let len = 1 + (rng % (2 * capacity as u64)) as usize;
+                        let end = (pos + len).min(values.len());
+                        while pos < end {
+                            let run = buffer.insert_slice(&values[pos..end]);
+                            pos += run.stored;
+                            if let Some(items) = run.sealed {
+                                collected.lock().unwrap().extend(items);
+                            }
+                            if run.stored == 0 {
+                                std::thread::yield_now();
+                            }
+                        }
+                    }
+                })
+            })
+            .collect();
+        let flusher = {
+            let buffer = buffer.clone();
+            let collected = collected.clone();
+            std::thread::spawn(move || {
+                for _ in 0..flushes {
+                    let items = buffer.seal_flush();
+                    collected.lock().unwrap().extend(items);
+                    std::thread::yield_now();
+                }
+            })
+        };
+        for h in inserters {
+            h.join().unwrap();
+        }
+        flusher.join().unwrap();
+        let mut all = collected.lock().unwrap().clone();
+        all.extend(buffer.seal_flush());
+        all
+    }
+
+    #[test]
+    fn seal_flush_races_runs_without_losing_items() {
+        let mut all = race_runs(32, 4, 20_000, 2_000);
+        assert_eq!(all.len(), 80_000, "items conserved");
+        all.sort_unstable();
+        all.dedup();
+        assert_eq!(all.len(), 80_000, "every value unique");
+    }
+
+    #[test]
+    fn eight_threads_of_random_runs_conserve_every_item() {
+        let mut all = race_runs(16, 8, 10_000, 4_000);
+        assert_eq!(all.len(), 80_000, "items conserved");
+        all.sort_unstable();
+        all.dedup();
+        assert_eq!(all.len(), 80_000, "every value unique");
     }
 
     #[test]

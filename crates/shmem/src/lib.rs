@@ -44,10 +44,10 @@ pub mod seg_slab;
 pub mod segment;
 pub mod slab;
 
-pub use claim::{ClaimBuffer, ClaimResult};
+pub use claim::{ClaimBuffer, ClaimResult, ClaimRun};
 pub use counter::PaddedCounter;
 pub use ring::SpscRing;
-pub use seg_claim::{SegClaim, SegClaimInsert};
+pub use seg_claim::{SegClaim, SegClaimInsert, SegClaimRun};
 pub use seg_ring::SegRing;
 pub use seg_slab::SegArena;
 pub use segment::{

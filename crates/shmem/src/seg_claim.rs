@@ -72,6 +72,17 @@ pub enum SegClaimInsert {
     Retry,
 }
 
+/// Outcome of one [`SegClaim::insert_slice`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SegClaimRun {
+    /// How many leading values of the run were stored (0 = full, a drain
+    /// is in progress: retry the whole run after backing off).
+    pub stored: usize,
+    /// The stored part covered the **last** slot: the caller owns the drain,
+    /// as on [`SegClaimInsert::MustDrain`].
+    pub must_drain: bool,
+}
+
 /// View over a crash-robust claim buffer stored in a shared segment.
 pub struct SegClaim<T> {
     ctl: *mut SegClaimCtl,
@@ -184,27 +195,51 @@ impl<T: Copy> SegClaim<T> {
 
     /// Insert one value.  See [`SegClaimInsert`] for the caller's duties.
     pub fn insert(&self, value: T) -> SegClaimInsert {
+        match self.insert_slice(std::slice::from_ref(&value)) {
+            SegClaimRun { stored: 0, .. } => SegClaimInsert::Retry,
+            SegClaimRun {
+                must_drain: true, ..
+            } => SegClaimInsert::MustDrain,
+            SegClaimRun { .. } => SegClaimInsert::Stored,
+        }
+    }
+
+    /// Insert a run of values with one claim: `fetch_add(n)` hands out `n`
+    /// slots; the leading `min(n, capacity - first)` values are written and
+    /// each stamped as in [`SegClaim::insert`].  See [`SegClaimRun`] for the
+    /// caller's duties; the values past `stored` are the caller's to retry.
+    pub fn insert_slice(&self, values: &[T]) -> SegClaimRun {
         let ctl = self.ctl();
-        let c = ctl.claim.fetch_add(1, Ordering::AcqRel);
-        if c >= self.capacity as u64 {
+        let n = values.len();
+        let first = ctl.claim.fetch_add(n as u64, Ordering::AcqRel);
+        if first >= self.capacity as u64 {
             // Full: a drain is (or will be) in progress.  The overshoot is
             // harmless — reopen stores 0.
-            return SegClaimInsert::Retry;
+            return SegClaimRun {
+                stored: 0,
+                must_drain: false,
+            };
         }
-        // Load the generation AFTER winning the slot: the generation cannot
-        // advance past us now, because the drain waits for this very slot's
-        // stamp before reopening (a skip requires allow_skip, i.e. a death).
+        let first = first as usize;
+        let stored = n.min(self.capacity - first);
+        // Load the generation AFTER winning the slots: the generation cannot
+        // advance past us now, because the drain waits for each of these
+        // slots' stamps before reopening (a skip requires allow_skip, i.e. a
+        // death).
         let generation = ctl.generation.load(Ordering::Acquire);
-        // SAFETY: the fetch_add handed us exclusive ownership of slot `c`
-        // for this generation; in bounds per the check above.
-        unsafe { self.values.add(c as usize).write(value) };
-        // The stamp publishes the value to the drainer (release → acquire).
-        self.seq(c as usize)
-            .store(generation + 1, Ordering::Release);
-        if c == self.capacity as u64 - 1 {
-            SegClaimInsert::MustDrain
-        } else {
-            SegClaimInsert::Stored
+        // SAFETY: the fetch_add handed us exclusive ownership of slots
+        // `first..first + stored` for this generation, all below capacity.
+        unsafe {
+            std::ptr::copy_nonoverlapping(values.as_ptr(), self.values.add(first), stored);
+        }
+        // Each stamp publishes its slot's value to the drainer (release →
+        // acquire); a writer killed mid-run leaves a stamped prefix.
+        for slot in first..first + stored {
+            self.seq(slot).store(generation + 1, Ordering::Release);
+        }
+        SegClaimRun {
+            stored,
+            must_drain: first + stored == self.capacity,
         }
     }
 
@@ -373,6 +408,143 @@ mod tests {
         out.clear();
         assert_eq!(buf.drain_full(&mut out, || false), 0);
         assert_eq!(out, vec![0, 1, 9]);
+    }
+
+    #[test]
+    fn run_straddling_capacity_stores_its_leading_part() {
+        let (_seg, buf) = claim_segment(4);
+        let run = buf.insert_slice(&[1, 2, 3]);
+        assert_eq!(
+            run,
+            SegClaimRun {
+                stored: 3,
+                must_drain: false
+            }
+        );
+        let run = buf.insert_slice(&[4, 5, 6]);
+        assert_eq!(
+            run,
+            SegClaimRun {
+                stored: 1,
+                must_drain: true
+            }
+        );
+        assert_eq!(buf.insert_slice(&[5, 6]).stored, 0, "full buffer rejects");
+        assert!(buf.try_begin_drain(0));
+        let mut out = Vec::new();
+        assert_eq!(buf.seal_flush(&mut out, || false), (4, 0));
+        assert_eq!(out, vec![1, 2, 3, 4]);
+        // A run longer than capacity takes exactly one generation's worth.
+        let long: Vec<u64> = (10..20).collect();
+        assert_eq!(
+            buf.insert_slice(&long),
+            SegClaimRun {
+                stored: 4,
+                must_drain: true
+            }
+        );
+        out.clear();
+        assert_eq!(buf.drain_full(&mut out, || false), 0);
+        assert_eq!(out, vec![10, 11, 12, 13]);
+        assert_eq!(buf.insert_slice(&[]).stored, 0);
+    }
+
+    #[test]
+    fn partly_stamped_run_is_skipped_and_charged_when_allowed() {
+        // A writer killed in the middle of stamping its run: slots 1..4 are
+        // claimed and written, but only slot 1 got its stamp.
+        let (_seg, buf) = claim_segment(5);
+        assert_eq!(buf.insert(1), SegClaimInsert::Stored);
+        assert_eq!(buf.insert_slice(&[2, 3, 4]).stored, 3);
+        buf.seq(2).store(0, Ordering::Release);
+        buf.seq(3).store(0, Ordering::Release);
+        assert_eq!(buf.insert(5), SegClaimInsert::MustDrain);
+        let mut out = Vec::new();
+        let skipped = buf.drain_full(&mut out, || true);
+        assert_eq!(skipped, 2, "each unstamped slot of the run is charged");
+        assert_eq!(out, vec![1, 2, 5], "stamped slots drain in order");
+        // The reopened buffer is clean: the stale stamps cannot satisfy it.
+        assert_eq!(buf.insert_slice(&[7, 8]).stored, 2);
+        let (drained, skipped) = buf.seal_flush(&mut out, || false);
+        assert_eq!((drained, skipped), (2, 0));
+        assert_eq!(&out[3..], &[7, 8]);
+    }
+
+    #[test]
+    fn eight_threads_of_random_runs_conserve_every_item() {
+        // Runs of random length 1..=2g from 8 threads, drained by their
+        // MustDrain winners and by a concurrent explicit flusher, all
+        // serialized through the drain lock like the process backend.
+        let capacity = 16usize;
+        let (seg, buf) = claim_segment(capacity);
+        let per_thread = 5_000u64;
+        let threads = 8u64;
+        let collected = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let drain = move |me: u32, out: &mut Vec<u64>| {
+            if buf.try_begin_drain(me) {
+                let (_, skipped) = buf.seal_flush(out, || false);
+                assert_eq!(skipped, 0);
+            }
+        };
+        let workers: Vec<_> = (0..threads)
+            .map(|t| {
+                let seg = seg.clone();
+                let collected = collected.clone();
+                std::thread::spawn(move || {
+                    let _hold = seg;
+                    let values: Vec<u64> = (t * per_thread..(t + 1) * per_thread).collect();
+                    let mut rng = (t + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    let mut out = Vec::new();
+                    let mut pos = 0;
+                    while pos < values.len() {
+                        rng ^= rng << 13;
+                        rng ^= rng >> 7;
+                        rng ^= rng << 17;
+                        let end =
+                            (pos + 1 + (rng % (2 * capacity as u64)) as usize).min(values.len());
+                        while pos < end {
+                            let run = buf.insert_slice(&values[pos..end]);
+                            pos += run.stored;
+                            if run.must_drain {
+                                drain(t as u32, &mut out);
+                            } else if run.stored == 0 {
+                                std::thread::yield_now();
+                            }
+                        }
+                    }
+                    collected.lock().unwrap().extend_from_slice(&out);
+                })
+            })
+            .collect();
+        let flusher = {
+            let seg = seg.clone();
+            let collected = collected.clone();
+            let stop = stop.clone();
+            std::thread::spawn(move || {
+                let _hold = seg;
+                let mut out = Vec::new();
+                while !stop.load(Ordering::Acquire) {
+                    if buf.claim_count() > 0 {
+                        drain(threads as u32, &mut out);
+                    }
+                    std::thread::yield_now();
+                }
+                collected.lock().unwrap().extend_from_slice(&out);
+            })
+        };
+        for w in workers {
+            w.join().unwrap();
+        }
+        stop.store(true, Ordering::Release);
+        flusher.join().unwrap();
+        let mut all = collected.lock().unwrap().clone();
+        let (_, skipped) = buf.seal_flush(&mut all, || false);
+        assert_eq!(skipped, 0);
+        assert_eq!(all.len() as u64, threads * per_thread, "items conserved");
+        all.sort_unstable();
+        all.dedup();
+        assert_eq!(all.len() as u64, threads * per_thread, "every value once");
     }
 
     #[test]

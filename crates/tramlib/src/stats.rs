@@ -7,9 +7,10 @@ use metrics::{Counters, OnlineStats};
 /// aggregators, processes and runs).
 #[derive(Debug, Clone, Default)]
 pub struct TramStats {
+    /// Every recorded quantity except the destination spread: the fill
+    /// level of emitted messages is `items_sent / messages_sent`, so the
+    /// counters alone carry a run's statistics across a process boundary.
     counters: Counters,
-    /// Distribution of item counts per emitted message (buffer fill levels).
-    fill: OnlineStats,
     /// Distribution of distinct destination workers per emitted message.
     /// Only populated when [`crate::TramConfig::detailed_dest_stats`] is on —
     /// computing the spread costs a per-message sort, so the default
@@ -23,6 +24,15 @@ impl TramStats {
         Self::default()
     }
 
+    /// Rebuild statistics from the counters of another instance (see
+    /// [`TramStats::counters`]); the opt-in destination spread starts empty.
+    pub fn from_counters(counters: Counters) -> Self {
+        Self {
+            counters,
+            dest_spread: OnlineStats::default(),
+        }
+    }
+
     /// Record an item accepted for aggregation.
     pub fn record_insert(&mut self) {
         self.counters.incr("items_inserted");
@@ -33,19 +43,36 @@ impl TramStats {
         self.counters.incr("items_local_bypass");
     }
 
+    /// Record `inserted` items accepted for aggregation and `bypassed` items
+    /// delivered through the local bypass at once, for a caller that tallies
+    /// its sends in plain integers instead of per item.
+    pub fn record_sends(&mut self, inserted: u64, bypassed: u64) {
+        self.counters.add("items_inserted", inserted);
+        self.counters.add("items_local_bypass", bypassed);
+    }
+
     /// Record a message handed to the transport.
     pub fn record_message(&mut self, items: usize, bytes: u64, reason: EmitReason) {
-        self.counters.incr("messages_sent");
-        self.counters.add("items_sent", items as u64);
-        self.counters.add("bytes_sent", bytes);
-        self.fill.record(items as f64);
-        match reason {
-            EmitReason::BufferFull => self.counters.incr("messages_full"),
-            EmitReason::ExplicitFlush => self.counters.incr("messages_explicit_flush"),
-            EmitReason::IdleFlush => self.counters.incr("messages_idle_flush"),
-            EmitReason::TimeoutFlush => self.counters.incr("messages_timeout_flush"),
-            EmitReason::Unaggregated => self.counters.incr("messages_unaggregated"),
+        self.record_messages(1, items as u64, bytes, reason);
+    }
+
+    /// Record `messages` messages handed to the transport for the same
+    /// `reason`, carrying `items` items and `bytes` bytes in total.
+    pub fn record_messages(&mut self, messages: u64, items: u64, bytes: u64, reason: EmitReason) {
+        if messages == 0 {
+            return;
         }
+        self.counters.add("messages_sent", messages);
+        self.counters.add("items_sent", items);
+        self.counters.add("bytes_sent", bytes);
+        let by_reason = match reason {
+            EmitReason::BufferFull => "messages_full",
+            EmitReason::ExplicitFlush => "messages_explicit_flush",
+            EmitReason::IdleFlush => "messages_idle_flush",
+            EmitReason::TimeoutFlush => "messages_timeout_flush",
+            EmitReason::Unaggregated => "messages_unaggregated",
+        };
+        self.counters.add(by_reason, messages);
     }
 
     /// Record an explicit flush call from the application (whether or not it
@@ -63,7 +90,6 @@ impl TramStats {
     /// Merge statistics from another aggregator.
     pub fn merge(&mut self, other: &TramStats) {
         self.counters.merge(&other.counters);
-        self.fill.merge(&other.fill);
         self.dest_spread.merge(&other.dest_spread);
     }
 
@@ -111,7 +137,10 @@ impl TramStats {
 
     /// Mean number of items per emitted message.
     pub fn mean_fill(&self) -> f64 {
-        self.fill.mean()
+        match self.messages_sent() {
+            0 => 0.0,
+            messages => self.items_sent() as f64 / messages as f64,
+        }
     }
 
     /// Mean number of distinct destination workers per emitted message, and
@@ -150,6 +179,22 @@ mod tests {
         assert_eq!(s.bytes_sent(), 176);
         assert_eq!(s.flush_calls(), 1);
         assert!((s.mean_fill() - 1.5).abs() < 1e-12);
+
+        // Bulk recording matches per-item recording.
+        let mut bulk = TramStats::new();
+        bulk.record_sends(2, 1);
+        bulk.record_messages(2, 3, 176, EmitReason::BufferFull);
+        assert_eq!(bulk.items_inserted(), 2);
+        assert_eq!(bulk.items_local_bypass(), 1);
+        assert_eq!(bulk.messages_full(), 2);
+        assert_eq!(bulk.bytes_sent(), 176);
+        assert!((bulk.mean_fill() - 1.5).abs() < 1e-12);
+
+        // The counters alone rebuild the statistics.
+        let rebuilt = TramStats::from_counters(s.counters().clone());
+        assert_eq!(rebuilt.messages_sent(), 2);
+        assert_eq!(rebuilt.flush_calls(), 1);
+        assert!((rebuilt.mean_fill() - 1.5).abs() < 1e-12);
     }
 
     #[test]

@@ -106,9 +106,9 @@ fn main() {
                 "Times above are wall-clock across {} forked worker processes",
                 cluster.total_workers()
             );
-            println!("sharing one memfd segment. Latency/fill columns are threaded-backend");
-            println!("instruments; compare app counters and totals across backends instead");
-            println!("(tests/backend_equivalence.rs does exactly that).");
+            println!("sharing one memfd segment. Message counts and fill match the threaded");
+            println!("backend; the latency column is a threaded-backend instrument");
+            println!("(tests/backend_equivalence.rs checks totals and wire counts).");
         }
     }
 }

@@ -42,6 +42,10 @@ fn main() {
             process_backend_matches_simulator_for_every_scheme,
         ),
         (
+            "process_wire_messages_match_threaded_for_every_scheme",
+            process_wire_messages_match_threaded_for_every_scheme,
+        ),
+        (
             "forced_simd_kernel_matches_scalar_and_simulator",
             forced_simd_kernel_matches_scalar_and_simulator,
         ),
@@ -143,6 +147,45 @@ fn process_backend_matches_simulator_for_every_scheme() {
         assert_eq!(
             process, sim,
             "{scheme}: process backend diverged from the simulator on identical traffic"
+        );
+    }
+}
+
+fn process_wire_messages_match_threaded_for_every_scheme() {
+    // "Same scheme" also means the same wire behaviour: on one spec, the
+    // process backend must send as many messages as the threaded backend —
+    // exactly for NoAgg (one per remote item), within 5 % for the
+    // aggregating schemes (PP's shared buffers seal at timing-dependent
+    // points on both backends) — and both must report the fill they got.
+    for scheme in Scheme::ALL {
+        let threaded = histogram_spec(scheme, 42).backend(Backend::Native).run();
+        let process = histogram_spec(scheme, 42).backend(Backend::Process).run();
+        let (t, p) = (
+            threaded.counter("wire_messages"),
+            process.counter("wire_messages"),
+        );
+        assert!(t > 0, "{scheme}: no wire traffic");
+        if scheme == Scheme::NoAgg {
+            assert_eq!(p, t, "{scheme}: wire messages differ");
+        } else {
+            let gap = p.abs_diff(t) as f64 / t as f64;
+            assert!(
+                gap <= 0.05,
+                "{scheme}: process sent {p} wire messages, threaded {t} ({:.1} % apart)",
+                gap * 100.0
+            );
+        }
+        assert_eq!(
+            process.tram.messages_sent(),
+            p,
+            "{scheme}: every process wire message is in the TramLib stats"
+        );
+        let fills = (threaded.tram.mean_fill(), process.tram.mean_fill());
+        assert!(
+            (fills.0 - fills.1).abs() <= 0.05 * fills.0,
+            "{scheme}: mean fill threaded {:.2} vs process {:.2}",
+            fills.0,
+            fills.1
         );
     }
 }
