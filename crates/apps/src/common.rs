@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use native_rt::{NativeBackendConfig, ProcessBackendConfig};
 use net_model::WorkerId;
-use runtime_api::{Backend, LoadShape, RunReport, RunSpec, WorkerApp};
+use runtime_api::{Backend, LoadShape, ResolvedRunSpec, RunReport, RunSpec, WorkerApp};
 use smp_sim::SimConfig;
 use tramlib::{FlushPolicy, Scheme, TramConfig};
 
@@ -48,24 +48,34 @@ pub fn run_app(
 ) -> RunReport {
     match backend {
         Backend::Sim => smp_sim::run_cluster(sim, make_app),
-        Backend::Native => run_app_native(sim, |native| native, make_app),
+        Backend::Native => {
+            native_rt::run_threaded(NativeBackendConfig::from_common(sim.common), make_app)
+        }
         Backend::Process => {
             native_rt::run_process(ProcessBackendConfig::from_common(sim.common), make_app)
         }
     }
 }
 
-/// Run one application on the native backend with backend-specific tuning
-/// applied on top of the [`SimConfig`]-derived defaults (delivery topology,
-/// ring capacities, watchdog...).  The benchmark suite uses this to A/B the
-/// mesh against the star collector on identical workloads.
-pub fn run_app_native(
-    sim: SimConfig,
-    tune: impl FnOnce(NativeBackendConfig) -> NativeBackendConfig,
-    make_app: impl FnMut(WorkerId) -> Box<dyn WorkerApp>,
-) -> RunReport {
-    let native = tune(NativeBackendConfig::from_common(sim.common));
-    native_rt::run_threaded(native, make_app)
+/// The threaded backend's configuration for a resolved spec: the spec's
+/// native options, plus a watchdog widened past an open-loop run's known
+/// duration unless the spec sets one.
+fn native_config(run: &ResolvedRunSpec) -> NativeBackendConfig {
+    let native = NativeBackendConfig::from_common(run.common())
+        .with_pin_workers(run.pin_workers)
+        .with_faults(run.faults)
+        .with_transport(run.transport);
+    match (run.max_wall, run.load) {
+        (Some(max_wall), _) => native.with_max_wall(max_wall),
+        (None, LoadShape::Open(load)) => {
+            // An open-loop run has a known minimum duration (the arrival
+            // schedule itself); widen the watchdog well past it so slow
+            // machines abort, not healthy runs.
+            let secs = load.requests_per_worker as f64 / load.rate_per_worker;
+            native.with_max_wall(Duration::from_secs_f64(60.0 + 4.0 * secs.max(0.0)))
+        }
+        (None, LoadShape::Closed) => native,
+    }
 }
 
 /// Execute a fully described [`RunSpec`]: resolve the application's defaults,
@@ -124,28 +134,7 @@ pub fn run_spec(spec: RunSpec) -> RunReport {
             }
             smp_sim::run_cluster(sim, make_app.as_mut())
         }
-        Backend::Native => {
-            let mut native = NativeBackendConfig::from_common(run.common())
-                .with_delivery(run.delivery)
-                .with_message_store(run.message_store)
-                .with_pin_workers(run.pin_workers)
-                .with_faults(run.faults)
-                .with_transport(run.transport);
-            match run.max_wall {
-                Some(max_wall) => native = native.with_max_wall(max_wall),
-                None => {
-                    if let LoadShape::Open(load) = run.load {
-                        // An open-loop run has a known minimum duration (the
-                        // arrival schedule itself); widen the watchdog well
-                        // past it so slow machines abort, not healthy runs.
-                        let secs = load.requests_per_worker as f64 / load.rate_per_worker;
-                        native = native
-                            .with_max_wall(Duration::from_secs_f64(60.0 + 4.0 * secs.max(0.0)));
-                    }
-                }
-            }
-            native_rt::run_threaded(native, make_app.as_mut())
-        }
+        Backend::Native => native_rt::run_threaded(native_config(&run), make_app.as_mut()),
         Backend::Process => {
             let mut process =
                 ProcessBackendConfig::from_common(run.common()).with_faults(run.faults);
@@ -164,10 +153,10 @@ pub fn run_spec(spec: RunSpec) -> RunReport {
 }
 
 /// Execute a [`RunSpec`] on the native backend with extra backend-specific
-/// tuning (ring capacities, batch sizes, arena geometry...) applied on top of
-/// what the spec already resolved.  The throughput suite uses this for its
-/// mesh-vs-star A/B runs; everything expressible on the spec itself should
-/// stay on the spec.
+/// tuning (ring capacities, batch sizes, arena geometry, NUMA placement...)
+/// applied on top of what the spec already resolved.  The throughput suite
+/// uses this for its NUMA-placement A/B; everything expressible on the spec
+/// itself should stay on the spec.
 pub fn run_spec_native_tuned(
     spec: RunSpec,
     tune: impl FnOnce(NativeBackendConfig) -> NativeBackendConfig,
@@ -179,14 +168,7 @@ pub fn run_spec_native_tuned(
         "app '{}' does not run on the native backend",
         app.name()
     );
-    let native = tune(
-        NativeBackendConfig::from_common(run.common())
-            .with_delivery(run.delivery)
-            .with_message_store(run.message_store)
-            .with_pin_workers(run.pin_workers)
-            .with_faults(run.faults)
-            .with_transport(run.transport),
-    );
+    let native = tune(native_config(&run));
     let mut make_app = app.factory(&run);
     let mut report = native_rt::run_threaded(native, make_app.as_mut());
     if let Some(slo) = run.slo {
@@ -208,20 +190,6 @@ impl RunSpecExt for RunSpec {
     fn run(self) -> RunReport {
         run_spec(self)
     }
-}
-
-/// Parse a `--backend {sim,native}` switch out of the process arguments
-/// (defaulting to the simulator).
-///
-/// # Panics
-/// Panics with a usage message if the value after `--backend` is not a known
-/// backend name.
-#[deprecated(
-    since = "0.6.0",
-    note = "use runtime_api::CommonArgs::from_env(), which also handles --seed/--buffer/--pin"
-)]
-pub fn parse_backend_arg() -> Backend {
-    runtime_api::CommonArgs::from_env().backend
 }
 
 #[cfg(test)]

@@ -12,9 +12,8 @@
 //!     .run();
 //! ```
 //!
-//! The per-app `run_*` free functions remain as thin conveniences over the
-//! same path (and the historical `run_*_on` / `run_*_native` entry points as
-//! deprecated shims).
+//! The per-app `run_*` free functions are thin conveniences over the same
+//! path.
 //!
 //! | Module | Paper benchmark | Figures | Backends |
 //! |--------|-----------------|---------|----------|

@@ -20,7 +20,7 @@ use crate::common::{run_spec, ClusterSpec};
 
 /// PHOLD is simulator-only for now: its out-of-order metric is a function of
 /// the modelled delivery ordering, which would be scheduler noise on real
-/// threads, so no `run_phold_on` is offered.
+/// threads, so the app refuses the native backends.
 pub const NATIVE_CAPABLE: bool = false;
 
 /// PHOLD benchmark configuration.

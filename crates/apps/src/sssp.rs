@@ -22,8 +22,7 @@ use crate::common::{run_spec, ClusterSpec};
 
 /// SSSP is simulator-only for now: its wasted-update metric depends on the
 /// modelled latency ordering, which real thread scheduling does not reproduce
-/// deterministically.  Attempting a native run should be a deliberate choice,
-/// so no `run_sssp_on` is offered.
+/// deterministically, so the app refuses the native backends.
 pub const NATIVE_CAPABLE: bool = false;
 
 /// SSSP benchmark configuration.

@@ -1,6 +1,5 @@
-//! The throughput sweep: items/sec per scheme on the native backend (mesh
-//! delivery, with a star-topology A/B series), plus the kernel-tier and
-//! NUMA-placement A/Bs, emitted as one machine-readable
+//! The throughput sweep: items/sec per scheme on the native backend, plus
+//! the kernel-tier and NUMA-placement A/Bs, emitted as one machine-readable
 //! `BENCH_throughput.json`.
 //!
 //! ```text
@@ -14,11 +13,8 @@
 //!     --fast --check BENCH_throughput.json                   # regression gate
 //! ```
 //!
-//! Every effort level measures the zero-copy slab-arena mesh (the default
-//! configuration), the VecPool-store mesh (the arena-vs-pool A/B), and the
-//! star-collector topology, so the regression gate covers both delivery
-//! topologies and both message stores.  `--pin` pins each worker thread to
-//! `worker_index % cpus` — see `docs/DESIGN.md` §5 for when that matters.
+//! `--pin` pins each worker thread to `worker_index % cpus` — see
+//! `docs/DESIGN.md` §5 for when that matters.
 //!
 //! Every application run doubles as a conservation check (clean termination,
 //! `items_sent == items_delivered`); a violation panics, so a zero exit code
@@ -81,17 +77,10 @@ fn main() {
         "# smp-aggregation throughput suite (effort: {effort:?}, pin: {pin}, kernel: {kernel})\n"
     );
 
-    // Both message stores on the mesh (the zero-copy arena-vs-pool A/B) and
-    // the star-collector topology, at every effort level: the CI smoke gate
-    // must cover every delivery configuration a regression could hide in.
-    let tune = |t: Tune| t.with_pin(pin).with_kernel(kernel);
-    let histogram = throughput_histogram_on(effort, tune(Tune::mesh_arena()));
+    let tune = Tune::default().with_pin(pin).with_kernel(kernel);
+    let histogram = throughput_histogram_on(effort, tune);
     println!("{}\n", histogram.to_text());
-    let histogram_vecpool = throughput_histogram_on(effort, tune(Tune::mesh_vecpool()));
-    println!("{}\n", histogram_vecpool.to_text());
-    let star = throughput_histogram_on(effort, tune(Tune::star()));
-    println!("{}\n", star.to_text());
-    let index_gather = throughput_index_gather(effort, tune(Tune::mesh_arena()));
+    let index_gather = throughput_index_gather(effort, tune);
     println!("{}\n", index_gather.to_text());
     // The kernel A/B is a direct microbench over every tier, so `--kernel`
     // does not narrow it; each timed repetition re-checks its tier against
@@ -103,8 +92,6 @@ fn main() {
 
     let mut series: Vec<(&str, &metrics::Series)> = vec![
         ("histogram_native", &histogram),
-        ("histogram_native_vecpool", &histogram_vecpool),
-        ("histogram_native_star", &star),
         ("index_gather_native", &index_gather),
         ("kernel_apply", &kernel_apply),
         ("cross_socket_penalty", &cross_socket),
@@ -116,19 +103,11 @@ fn main() {
     if effort == Effort::Paper {
         extra.push((
             "histogram_native_smoke",
-            throughput_histogram_on(Effort::Smoke, tune(Tune::mesh_arena())),
-        ));
-        extra.push((
-            "histogram_native_vecpool_smoke",
-            throughput_histogram_on(Effort::Smoke, tune(Tune::mesh_vecpool())),
-        ));
-        extra.push((
-            "histogram_native_star_smoke",
-            throughput_histogram_on(Effort::Smoke, tune(Tune::star())),
+            throughput_histogram_on(Effort::Smoke, tune),
         ));
         extra.push((
             "index_gather_native_smoke",
-            throughput_index_gather(Effort::Smoke, tune(Tune::mesh_arena())),
+            throughput_index_gather(Effort::Smoke, tune),
         ));
         extra.push(("kernel_apply_smoke", kernel_apply_comparison(Effort::Smoke)));
     }
@@ -157,8 +136,6 @@ fn main() {
         // and panics on any mismatch.
         let fresh: Vec<(&str, &metrics::Series)> = vec![
             ("histogram_native", &histogram),
-            ("histogram_native_vecpool", &histogram_vecpool),
-            ("histogram_native_star", &star),
             ("index_gather_native", &index_gather),
         ];
         let outcome = regression_gate(&committed, &fresh, tolerance)

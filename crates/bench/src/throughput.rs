@@ -14,12 +14,11 @@
 //! build.
 
 use crate::Effort;
-use apps::common::run_spec_native_tuned;
+use apps::common::{run_spec, run_spec_native_tuned};
 use apps::histogram::HistogramConfig;
 use apps::index_gather::IndexGatherConfig;
 use apps::ClusterSpec;
 use metrics::Series;
-use native_rt::{DeliveryTopology, MessageStore};
 use net_model::WorkerId;
 use runtime_api::{Backend, Item, KernelMode, Payload, RunReport, RunSpec};
 use std::io;
@@ -88,18 +87,15 @@ fn warmup(tune: Tune) {
         .with_updates(5_000)
         .with_buffer(64)
         .with_seed(1);
-    let report = run_spec_native_tuned(tune.spec(RunSpec::for_app(config)), |native| native);
+    let report = run_spec(tune.spec(RunSpec::for_app(config)));
     assert!(report.clean(), "warmup run failed");
 }
 
-/// Backend tuning of one measured series: delivery topology, message store,
-/// core pinning (`--pin`) and slice-kernel tier (`--kernel`).
-#[derive(Debug, Clone, Copy)]
+/// Backend tuning of one measured series: core pinning (`--pin`) and
+/// slice-kernel tier (`--kernel`).  The default is no pinning and
+/// auto-detected kernels.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Tune {
-    /// Delivery topology.
-    pub delivery: DeliveryTopology,
-    /// Message store (slab arena vs pooled vectors — the zero-copy A/B).
-    pub store: MessageStore,
     /// Pin worker threads to cores.
     pub pin: bool,
     /// Slice-kernel tier the apps consume items with.
@@ -107,33 +103,6 @@ pub struct Tune {
 }
 
 impl Tune {
-    /// The default measured configuration: mesh + slab arenas, no pinning,
-    /// auto-detected kernels.
-    pub fn mesh_arena() -> Self {
-        Tune {
-            delivery: DeliveryTopology::Mesh,
-            store: MessageStore::SlabArena,
-            pin: false,
-            kernel: KernelMode::Auto,
-        }
-    }
-
-    /// The A/B baseline: mesh + pooled heap vectors.
-    pub fn mesh_vecpool() -> Self {
-        Tune {
-            store: MessageStore::VecPool,
-            ..Tune::mesh_arena()
-        }
-    }
-
-    /// The star-collector baseline (always on pooled vectors).
-    pub fn star() -> Self {
-        Tune {
-            delivery: DeliveryTopology::Star,
-            ..Tune::mesh_vecpool()
-        }
-    }
-
     /// Enable core pinning.
     pub fn with_pin(mut self, pin: bool) -> Self {
         self.pin = pin;
@@ -150,8 +119,6 @@ impl Tune {
     /// Apply this tuning to a [`RunSpec`] (native backend implied).
     pub fn spec(&self, spec: RunSpec) -> RunSpec {
         spec.backend(Backend::Native)
-            .delivery(self.delivery)
-            .message_store(self.store)
             .pin_workers(self.pin)
             .kernel(self.kernel)
     }
@@ -164,8 +131,7 @@ impl Tune {
 /// it on would make the sweep compare different code-path mixes instead of
 /// the same pipeline at different scales.  Only the measurement disables the
 /// bypass — the backend default (bypass on) is untouched.  The watchdog is
-/// generous because the all-remote workload on the star baseline can
-/// legitimately need minutes: it is for hangs, not for slow topologies.
+/// generous: it is for hangs, not for slow hosts.
 fn pipeline_spec(spec: RunSpec, tune: Tune) -> RunSpec {
     tune.spec(spec)
         .local_bypass(false)
@@ -173,49 +139,28 @@ fn pipeline_spec(spec: RunSpec, tune: Tune) -> RunSpec {
 }
 
 /// Histogram items/sec on the native backend: all five schemes × the worker
-/// sweep, on the given tuning (topology × store × pinning).
+/// sweep, on the given tuning (pinning × kernel tier).
 ///
 /// Paper-effort runs use 150K updates per worker: on a fast delivery path a
 /// smaller run finishes in a few milliseconds, which scheduling noise and
 /// quiescence-detection latency would dominate.
 pub fn throughput_histogram_on(effort: Effort, tune: Tune) -> Series {
-    // The star baseline moves every item through the central collector at a
-    // rate the watchdog cannot tolerate on the mesh's workload size; its
-    // series runs a smaller per-worker load (and a longer watchdog), which
-    // if anything *flatters* the star by amortizing less fixed cost away.
     // Smoke runs back the CI regression gate: they must be big enough that
     // per-scheme throughput *ratios* are stable run-to-run on a noisy
     // runner, which 1K-update runs are not.
-    let updates = match tune.delivery {
-        DeliveryTopology::Mesh => effort.pick(10_000, 150_000),
-        DeliveryTopology::Star => effort.pick(10_000, 20_000),
-    };
+    let updates = effort.pick(10_000, 150_000);
     let buffer = effort.pick(64, 512);
     let clusters = cluster_sweep(effort);
     let mut series = Series::new(
-        match (tune.delivery, tune.store) {
-            (DeliveryTopology::Mesh, MessageStore::SlabArena) => {
-                "Throughput: histogram on the native backend, slab-arena store (items/sec)"
-            }
-            (DeliveryTopology::Mesh, MessageStore::VecPool) => {
-                "Throughput: histogram on the native backend, VecPool store A/B (items/sec)"
-            }
-            (DeliveryTopology::Star, _) => {
-                "Throughput: histogram on the native backend, star/collector topology (items/sec)"
-            }
-        },
+        "Throughput: histogram on the native backend, slab-arena store (items/sec)",
         "cluster",
     );
     series.set_x_values(clusters.iter().map(cluster_label));
     warmup(tune);
     // Smoke runs take the best of three: they back the CI regression gate,
     // and at smoke sizes a single unlucky scheduling quantum can halve one
-    // scheme's rate.  The star baseline at paper effort is a slow
-    // illustration series; one repetition is plenty there.
-    let reps = match tune.delivery {
-        DeliveryTopology::Mesh => effort.pick(3, 2),
-        DeliveryTopology::Star => effort.pick(3, 1),
-    };
+    // scheme's rate.
+    let reps = effort.pick(3, 2);
     for scheme in Scheme::ALL {
         let column = clusters
             .iter()
@@ -228,10 +173,7 @@ pub fn throughput_histogram_on(effort: Effort, tune: Tune) -> Series {
                             .with_updates(updates)
                             .with_buffer(buffer)
                             .with_seed(31);
-                        run_spec_native_tuned(
-                            pipeline_spec(RunSpec::for_app(config), tune),
-                            |native| native,
-                        )
+                        run_spec(pipeline_spec(RunSpec::for_app(config), tune))
                     },
                 )
             })
@@ -241,9 +183,9 @@ pub fn throughput_histogram_on(effort: Effort, tune: Tune) -> Series {
     series
 }
 
-/// Histogram items/sec on the default tuning (mesh + slab arenas).
+/// Histogram items/sec on the default tuning.
 pub fn throughput_histogram(effort: Effort) -> Series {
-    throughput_histogram_on(effort, Tune::mesh_arena())
+    throughput_histogram_on(effort, Tune::default())
 }
 
 /// Index-gather items/sec (requests + responses) on the native backend.
@@ -272,10 +214,7 @@ pub fn throughput_index_gather(effort: Effort, tune: Tune) -> Series {
                             .with_requests(requests)
                             .with_buffer(buffer)
                             .with_seed(37);
-                        run_spec_native_tuned(
-                            pipeline_spec(RunSpec::for_app(config), tune),
-                            |native| native,
-                        )
+                        run_spec(pipeline_spec(RunSpec::for_app(config), tune))
                     },
                 )
             })
@@ -383,7 +322,7 @@ pub fn kernel_apply_comparison(effort: Effort) -> Series {
 /// the two rate columns coincide (a flat line is the expected CI shape); the
 /// sweep only separates on multi-socket hardware.
 pub fn cross_socket_penalty(effort: Effort) -> Series {
-    let tune = Tune::mesh_arena().with_pin(true);
+    let tune = Tune::default().with_pin(true);
     let updates = effort.pick(10_000, 60_000);
     let buffer = effort.pick(64, 512);
     let clusters = cluster_sweep(effort);
@@ -457,28 +396,16 @@ mod tests {
     #[test]
     #[ignore = "manual perf probe, run with --ignored"]
     fn perf_probe_histogram() {
-        for (label, tune) in [
-            ("arena", Tune::mesh_arena()),
-            ("vecpool", Tune::mesh_vecpool()),
-        ] {
-            for scheme in [Scheme::WW, Scheme::WPs, Scheme::WsP, Scheme::NoAgg] {
-                for (procs, workers) in [(1u32, 4u32), (2, 4), (4, 4)] {
-                    for _ in 0..2 {
-                        let config =
-                            HistogramConfig::new(ClusterSpec::smp(1, procs, workers), scheme)
-                                .with_updates(150_000)
-                                .with_buffer(512)
-                                .with_seed(31);
-                        let report = run_spec_native_tuned(
-                            pipeline_spec(RunSpec::for_app(config), tune),
-                            |native| native,
-                        );
-                        let rate = items_per_sec("probe", &report);
-                        println!(
-                            "{label:7} {scheme} {procs}p x {workers}w: {:.2}M items/s",
-                            rate / 1e6
-                        );
-                    }
+        for scheme in [Scheme::WW, Scheme::WPs, Scheme::WsP, Scheme::NoAgg] {
+            for (procs, workers) in [(1u32, 4u32), (2, 4), (4, 4)] {
+                for _ in 0..2 {
+                    let config = HistogramConfig::new(ClusterSpec::smp(1, procs, workers), scheme)
+                        .with_updates(150_000)
+                        .with_buffer(512)
+                        .with_seed(31);
+                    let report = run_spec(pipeline_spec(RunSpec::for_app(config), Tune::default()));
+                    let rate = items_per_sec("probe", &report);
+                    println!("{scheme} {procs}p x {workers}w: {:.2}M items/s", rate / 1e6);
                 }
             }
         }
@@ -488,7 +415,7 @@ mod tests {
     fn smoke_sweep_runs_every_scheme_on_both_apps() {
         for series in [
             throughput_histogram(Effort::Smoke),
-            throughput_index_gather(Effort::Smoke, Tune::mesh_arena()),
+            throughput_index_gather(Effort::Smoke, Tune::default()),
         ] {
             for scheme in Scheme::ALL {
                 let col = series

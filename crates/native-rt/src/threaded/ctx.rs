@@ -1,10 +1,8 @@
-//! The native backend's per-worker [`RunCtx`] implementation, shared by both
-//! delivery topologies.
+//! The native backend's per-worker [`RunCtx`] implementation.
 //!
 //! The context owns everything a worker thread touches per item — aggregator,
 //! RNG, counters, local-bypass batches, the mesh overflow stash — and routes
-//! emitted messages to the run's delivery plane: the collector channel on the
-//! star, the per-pair SPSC rings on the mesh.
+//! emitted messages onto the per-pair SPSC rings of the delivery mesh.
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -19,7 +17,7 @@ use tramlib::{
     Owner, Scheme, SlabSealed, TramStats,
 };
 
-use super::{Batch, Envelope, Plane, Shared, Spent, SPARE_BATCHES};
+use super::{Batch, Envelope, Shared, Spent, SPARE_BATCHES};
 
 /// Upper bound, in consecutive *idle* loop iterations, of the stash retry
 /// backoff (see [`NativeWorkerCtx::flush_stash_backoff`]).  The mesh loop
@@ -163,10 +161,10 @@ pub(crate) struct NativeWorkerCtx<'a> {
 }
 
 impl<'a> NativeWorkerCtx<'a> {
-    /// Build the context for worker `me`.  `stash_lanes` is the worker count
-    /// on the mesh and 0 on the star (which never stashes).
-    pub(crate) fn new(shared: &'a Shared, me: WorkerId, stash_lanes: usize) -> Self {
+    /// Build the context for worker `me`.
+    pub(crate) fn new(shared: &'a Shared, me: WorkerId) -> Self {
         let my_proc = shared.topo.proc_of_worker(me);
+        let workers = shared.topo.total_workers();
         let aggregator = if shared.tram.scheme == Scheme::PP {
             None
         } else {
@@ -194,28 +192,26 @@ impl<'a> NativeWorkerCtx<'a> {
             } else {
                 Vec::new()
             },
-            local_out: (0..shared.topo.total_workers())
-                .map(|_| Vec::new())
-                .collect(),
+            local_out: (0..workers).map(|_| Vec::new()).collect(),
             spare_batches: Vec::new(),
             local_batch_items: shared.local_batch_items,
             now_cache: 0,
             pending_sent: 0,
             pending_delivered: 0,
             pending_dropped: 0,
-            stash: (0..stash_lanes).map(|_| VecDeque::new()).collect(),
+            stash: (0..workers).map(|_| VecDeque::new()).collect(),
             stash_len: 0,
             stash_backoff: 0,
             stash_skip: 0,
             flush_emits: 0,
-            defer_pushes: stash_lanes > 0 && shared.tram.scheme == Scheme::NoAgg,
+            defer_pushes: shared.tram.scheme == Scheme::NoAgg,
             arena: shared.arenas.get(me.idx()),
             pending_returns: Vec::new(),
             my_node: shared.worker_node.get(me.idx()).copied().unwrap_or(0),
             cross_socket_msgs: 0,
             drain_order: {
                 let my_node = shared.worker_node.get(me.idx()).copied().unwrap_or(0);
-                let mut order: Vec<u32> = (0..stash_lanes as u32).collect();
+                let mut order: Vec<u32> = (0..workers).collect();
                 if shared.numa_aware {
                     // Stable sort: same-node destinations first, index order
                     // preserved within each group.
@@ -281,32 +277,23 @@ impl<'a> NativeWorkerCtx<'a> {
             self.counters.incr("wire_messages_flush");
             self.flush_emits += 1;
         }
-        match &self.shared.plane {
-            // Send fails only after an aborted (watchdog) run tears the
-            // collector down; the report is already unclean then.
-            Plane::Star(star) => {
-                let _ = star.msg_tx.send(message);
+        let target = match message.dest {
+            MessageDest::Worker(w) => w,
+            // Same spread rule as the simulator: the (src proc, dst proc)
+            // pair pins the worker that runs the grouping pass.
+            MessageDest::Process(p) => self.shared.topo.group_receiver(self.my_proc, p),
+        };
+        // Single-item worker-addressed messages (NoAgg) ride inline; their
+        // vector is recycled here, where it came from.
+        if message.items.len() == 1 && matches!(message.dest, MessageDest::Worker(_)) {
+            let mut items = message.items;
+            let item = items.pop().expect("one item");
+            if let Some(agg) = self.aggregator.as_mut() {
+                agg.recycle(items);
             }
-            Plane::Mesh(_) => {
-                let target = match message.dest {
-                    MessageDest::Worker(w) => w,
-                    // Same spread rule as the simulator: the (src proc, dst
-                    // proc) pair pins the worker that runs the grouping pass.
-                    MessageDest::Process(p) => self.shared.topo.group_receiver(self.my_proc, p),
-                };
-                // Single-item worker-addressed messages (NoAgg) ride inline;
-                // their vector is recycled here, where it came from.
-                if message.items.len() == 1 && matches!(message.dest, MessageDest::Worker(_)) {
-                    let mut items = message.items;
-                    let item = items.pop().expect("one item");
-                    if let Some(agg) = self.aggregator.as_mut() {
-                        agg.recycle(items);
-                    }
-                    self.push_mesh(target, Envelope::Single(item));
-                } else {
-                    self.push_mesh(target, Envelope::Message(message));
-                }
-            }
+            self.push_mesh(target, Envelope::Single(item));
+        } else {
+            self.push_mesh(target, Envelope::Message(message));
         }
     }
 
@@ -358,7 +345,7 @@ impl<'a> NativeWorkerCtx<'a> {
             self.cross_socket_msgs += 1;
         }
         if !self.defer_pushes && self.stash[d].is_empty() {
-            let mesh = self.shared.plane.mesh();
+            let mesh = &self.shared.mesh;
             if let Err(rejected) = mesh.ring(self.me.idx(), d).push(envelope) {
                 self.stash[d].push_back(rejected);
                 self.stash_len += 1;
@@ -475,7 +462,7 @@ impl<'a> NativeWorkerCtx<'a> {
             return false;
         }
         self.publish_sent();
-        let mesh = self.shared.plane.mesh();
+        let mesh = &self.shared.mesh;
         let me = self.me.idx();
         let mut moved = 0;
         // Same-node destinations first (identity order on non-NUMA runs):
@@ -558,14 +545,7 @@ impl<'a> NativeWorkerCtx<'a> {
         self.publish_sent();
         let batch = std::mem::take(&mut self.local_out[dest]);
         self.counters.incr("local_batches");
-        match &self.shared.plane {
-            // Send fails only after an aborted (watchdog) run tears the
-            // receiver down; the report is already unclean then.
-            Plane::Star(star) => {
-                let _ = star.local_tx[dest].send(batch);
-            }
-            Plane::Mesh(_) => self.push_mesh(WorkerId(dest as u32), Envelope::Batch(batch)),
-        }
+        self.push_mesh(WorkerId(dest as u32), Envelope::Batch(batch));
     }
 
     /// Ship every pending local-bypass batch (and, on the node tier, the
@@ -600,7 +580,7 @@ impl<'a> NativeWorkerCtx<'a> {
         }
     }
 
-    /// Send a spent vector back to the worker that filled it (mesh only).
+    /// Send a spent vector back to the worker that filled it.
     /// Falls back to local reuse when the return ring is full or the vector
     /// was this worker's own.  Single-item vectors (NoAgg's per-item
     /// messages) are simply dropped: a 32-byte allocation on the sender is
@@ -615,7 +595,7 @@ impl<'a> NativeWorkerCtx<'a> {
             self.reclaim(batch);
             return;
         }
-        let mesh = self.shared.plane.mesh();
+        let mesh = &self.shared.mesh;
         if let Err(Spent::Batch(batch)) = mesh
             .return_ring(src, self.me.idx())
             .push(Spent::Batch(batch))
@@ -635,7 +615,7 @@ impl<'a> NativeWorkerCtx<'a> {
             self.shared.arenas[owner].release(handle.slab);
             return;
         }
-        let mesh = self.shared.plane.mesh();
+        let mesh = &self.shared.mesh;
         if mesh
             .return_ring(owner, self.me.idx())
             .push(Spent::Slab(handle))
@@ -650,7 +630,7 @@ impl<'a> NativeWorkerCtx<'a> {
         if self.pending_returns.is_empty() {
             return false;
         }
-        let mesh = self.shared.plane.mesh();
+        let mesh = &self.shared.mesh;
         let me = self.me.idx();
         let before = self.pending_returns.len();
         self.pending_returns.retain(|&(owner, handle)| {

@@ -1,5 +1,5 @@
-//! The mesh delivery topology: direct worker↔worker SPSC rings, no central
-//! collector on the data path.
+//! The delivery mesh: direct worker↔worker SPSC rings, no central thread on
+//! the data path.
 //!
 //! Each worker drains its column of the N×N envelope grid (one bounded SPSC
 //! ring per source worker), runs the receive-side grouping pass *locally*
@@ -60,8 +60,7 @@ pub(crate) fn worker_main(
     me: WorkerId,
     mut app: Box<dyn WorkerApp>,
 ) -> WorkerOutput {
-    let workers = shared.topo.total_workers() as usize;
-    let mut ctx = NativeWorkerCtx::new(shared, me, workers);
+    let mut ctx = NativeWorkerCtx::new(shared, me);
     let mut receiver: PooledReceiver<Payload> = PooledReceiver::new(shared.tram);
     if shared.pin_workers {
         // Pin before the barrier so placement never counts as run time.
@@ -151,7 +150,7 @@ fn mesh_loop(
     faults: &mut Option<ActiveFaults>,
 ) {
     let workers = shared.topo.total_workers() as usize;
-    let mesh = shared.plane.mesh();
+    let mesh = &shared.mesh;
     let me_i = me.idx();
     let mut idle_rounds = 0u32;
     let mut iteration = 0u32;
@@ -186,11 +185,11 @@ fn mesh_loop(
         // it lands (dropping one would leak the owner's slab for the run).
         did_work |= ctx.flush_pending_returns();
         // Reclaim spent storage our consumers sent back (vectors feed the
-        // pools, slab handles reopen arena slabs).  On the vector store,
-        // returns only feed pools, so probing all N rings every iteration
-        // buys nothing — every 8th iteration (and every idle one) keeps the
-        // recycling at 1/8th of the probe cost, which itself scales with the
-        // worker count.  On the slab store the returns ARE the arena's
+        // pools, slab handles reopen arena slabs).  Without an arena (PP,
+        // NoAgg), returns only feed pools, so probing all N rings every
+        // iteration buys nothing — every 8th iteration (and every idle one)
+        // keeps the recycling at 1/8th of the probe cost, which itself
+        // scales with the worker count.  With an arena the returns ARE its
         // capacity: drain them every iteration so a burst of sealed slabs
         // never dries the arena into the heap-vector fallback.
         if ctx.arena.is_some() || iteration % 8 == 0 || idle_rounds > 0 {
@@ -310,7 +309,7 @@ fn mesh_loop(
 /// all survivors are done, the monitor ends the run `Aborted`.
 fn quarantine(shared: &Shared, me: WorkerId, ctx: &mut NativeWorkerCtx<'_>) {
     let workers = shared.topo.total_workers() as usize;
-    let mesh = shared.plane.mesh();
+    let mesh = &shared.mesh;
     let me_i = me.idx();
     // Drop unshipped production (all of it already counted sent), then push
     // out the process-shared PP buffers: items this worker inserted there
@@ -501,8 +500,8 @@ fn handle_slab(
     }
 }
 
-/// Process one heap-vector message (the VecPool store, and every arena-miss
-/// fallback): the PR 4 delivery path, unchanged.
+/// Process one heap-vector message: PP's drained claim buffers, and every
+/// arena-miss fallback of the slab schemes.
 fn handle_vec_message(
     app: &mut dyn WorkerApp,
     ctx: &mut NativeWorkerCtx<'_>,

@@ -1,12 +1,9 @@
 //! The full threaded backend: real applications on real threads.
 //!
-//! One OS thread per worker PE.  Delivery runs over one of two topologies
-//! (selectable per run, see [`DeliveryTopology`]):
-//!
-//! **Mesh (default).**  An N×N grid of bounded SPSC rings connects every pair
-//! of workers directly; each ring has exactly one producer (the source
-//! worker) and one consumer (the destination worker), so the hot path is
-//! lock-free end to end:
+//! One OS thread per worker PE.  Delivery runs over a mesh: an N×N grid of
+//! bounded SPSC rings connects every pair of workers directly; each ring has
+//! exactly one producer (the source worker) and one consumer (the
+//! destination worker), so the hot path is lock-free end to end:
 //!
 //! ```text
 //! worker thread ──insert──▶ Aggregator (WW/WPs/WsP/NoAgg, private)
@@ -32,13 +29,6 @@
 //! stash that is retried every loop iteration — backpressure without the
 //! deadlock a blocking N×N mesh invites (two workers pushing to each other's
 //! full rings would otherwise both stop draining).
-//!
-//! **Star (the PR 3 collector, kept for A/B comparison).**  Workers funnel
-//! every message through an MPSC channel into a collector thread that runs
-//! the grouping pass centrally and fans item batches out over per-worker SPSC
-//! rings.  The collector serializes all aggregation traffic, which is exactly
-//! the bottleneck the mesh removes; `bench::throughput` measures the two
-//! topologies against each other.
 //!
 //! **Termination.**  Every `send` is counted into the sending worker's
 //! padded `items_sent` slot — published before the item can leave the
@@ -74,14 +64,12 @@ mod ctx;
 mod faults;
 mod mesh;
 mod node;
-mod star;
 
 use std::any::Any;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::{unbounded, Sender};
 use crossbeam_utils::CachePadded;
 use metrics::LatencySummary;
 use metrics::{Counters, LatencyRecorder};
@@ -92,10 +80,6 @@ use runtime_api::{
 };
 use transport::Transport;
 
-// The native tuning enums live in `runtime-api` so the unified `RunSpec`
-// builder can name them without depending on this crate; re-exported here so
-// `native_rt::{DeliveryTopology, MessageStore}` keeps working.
-pub use runtime_api::{DeliveryTopology, MessageStore};
 use shmem::{ClaimBuffer, SlabArena, SlabHandle, SlabRange, SpscRing};
 use tramlib::{Item, OutboundMessage, Scheme, SlabSealed, TramConfig, TramStats};
 
@@ -162,8 +146,6 @@ pub struct NativeBackendConfig {
     /// its deterministic RNG stream from.  `SimConfig` embeds the identical
     /// struct.
     pub common: CommonConfig,
-    /// Capacity (in batches) of each star-topology collector↔worker ring.
-    pub ring_capacity: usize,
     /// Capacity (in envelopes) of each mesh ring.  `0` (the default) sizes
     /// rings automatically: `max(64, 4096 / workers)` per pair, so total
     /// mesh memory stays flat as the cluster grows.
@@ -175,11 +157,6 @@ pub struct NativeBackendConfig {
     /// Watchdog: if the run is not quiescent after this much wall-clock time
     /// it is aborted and reported as not clean.
     pub max_wall: Duration,
-    /// Delivery topology (mesh by default).
-    pub delivery: DeliveryTopology,
-    /// Message store for the aggregation hot path (slab arenas by default on
-    /// the mesh; the star topology always runs on pooled vectors).
-    pub message_store: MessageStore,
     /// Slabs per worker arena.  `0` (the default) sizes arenas automatically:
     /// one slab per destination slot plus enough headroom for the slabs in
     /// flight on the rings — see [`NativeBackendConfig::resolved_arena_slabs`].
@@ -201,7 +178,7 @@ pub struct NativeBackendConfig {
     /// cluster runs in-process over the mesh, exactly as before).  When set
     /// and the topology spans more than one node, each node gains a leader
     /// thread that re-aggregates cross-node traffic and ships it over this
-    /// wire — see the `node` module.  Requires the mesh delivery topology.
+    /// wire — see the `node` module.
     pub transport: Option<TransportKind>,
     /// Graceful shutdown on SIGINT/SIGTERM: block the signals for the run and
     /// poll them from the monitor; a delivered signal quiesces the run (stop
@@ -213,9 +190,9 @@ pub struct NativeBackendConfig {
 }
 
 impl NativeBackendConfig {
-    /// Defaults for `tram`: the simulator's default seed, the mesh topology
-    /// with auto-sized rings and slab arenas, 4096-batch star rings, 32-item
-    /// local-bypass batches and a 60 s watchdog.
+    /// Defaults for `tram`: the simulator's default seed, auto-sized mesh
+    /// rings and slab arenas, 32-item local-bypass batches and a 60 s
+    /// watchdog.
     pub fn new(tram: TramConfig) -> Self {
         Self::from_common(CommonConfig::new(tram))
     }
@@ -224,12 +201,9 @@ impl NativeBackendConfig {
     pub fn from_common(common: CommonConfig) -> Self {
         Self {
             common,
-            ring_capacity: 4096,
             mesh_ring_capacity: 0,
             local_batch_items: 32,
             max_wall: Duration::from_secs(60),
-            delivery: DeliveryTopology::Mesh,
-            message_store: MessageStore::default(),
             arena_slabs: 0,
             pin_workers: false,
             numa_aware: true,
@@ -258,22 +232,9 @@ impl NativeBackendConfig {
         self
     }
 
-    /// Override the delivery topology.
-    pub fn with_delivery(mut self, delivery: DeliveryTopology) -> Self {
-        self.delivery = delivery;
-        self
-    }
-
     /// Override the per-pair mesh ring capacity (`0` = auto).
     pub fn with_mesh_ring_capacity(mut self, capacity: usize) -> Self {
         self.mesh_ring_capacity = capacity;
-        self
-    }
-
-    /// Override the message store (slab arena vs pooled vectors — the A/B
-    /// switch of the throughput suite).
-    pub fn with_message_store(mut self, store: MessageStore) -> Self {
-        self.message_store = store;
         self
     }
 
@@ -318,15 +279,11 @@ impl NativeBackendConfig {
         self
     }
 
-    /// Whether this run uses slab arenas: the configured store, on the mesh
-    /// (the star's central collector cannot borrow from remote arenas), for
-    /// the schemes whose aggregation runs in a worker-owned aggregator.
-    /// PP (process-shared claim buffers) and NoAgg (inline single items)
-    /// always use the vector path.
+    /// Whether this run uses slab arenas: every scheme whose aggregation runs
+    /// in a worker-owned aggregator does.  PP (process-shared claim buffers)
+    /// and NoAgg (inline single items) use the vector path.
     pub fn uses_arena(&self) -> bool {
-        self.message_store == MessageStore::SlabArena
-            && self.delivery == DeliveryTopology::Mesh
-            && !matches!(self.common.tram.scheme, Scheme::PP | Scheme::NoAgg)
+        !matches!(self.common.tram.scheme, Scheme::PP | Scheme::NoAgg)
     }
 
     /// The per-worker arena size (in slabs) this configuration resolves to.
@@ -368,7 +325,7 @@ impl NativeBackendConfig {
     /// The overflow stash (sender-local, contiguous, cache-warm) absorbs
     /// what the rings cannot.
     ///
-    /// On the slab-arena store the rings are much shallower: every envelope
+    /// On slab-arena runs the rings are much shallower: every envelope
     /// is a whole sealed buffer (`g` items), so a few dozen slots per pair
     /// already buffer tens of thousands of items — and every occupied slot
     /// pins one slab of the sender's bounded arena, so ring depth directly
@@ -389,24 +346,7 @@ impl NativeBackendConfig {
     }
 }
 
-/// The star topology's data plane: the collector's fan-out and return rings
-/// plus the channels feeding the collector and the local-bypass inboxes.
-pub(crate) struct StarPlane {
-    /// Collector→worker rings, indexed by destination worker.  The collector
-    /// is the single producer, the owning worker the single consumer.
-    pub(crate) rings: Vec<SpscRing<Batch>>,
-    /// Worker→collector batch-return rings, indexed by source worker: spent
-    /// delivery batches travel back so the collector's grouping pool can
-    /// reuse their capacity instead of allocating per message.
-    pub(crate) returns: Vec<SpscRing<Batch>>,
-    /// Same-process (local bypass) inboxes, one per worker, carrying item
-    /// *batches*; unbounded so workers never block each other.
-    pub(crate) local_tx: Vec<Sender<Batch>>,
-    /// Aggregated messages on their way to the collector.
-    pub(crate) msg_tx: Sender<OutboundMessage<Payload>>,
-}
-
-/// The mesh topology's data plane: per-pair envelope rings and per-pair
+/// The mesh's data plane: per-pair envelope rings and per-pair
 /// batch-return rings, both flattened `src * workers + dst`.
 pub(crate) struct MeshPlane {
     workers: usize,
@@ -439,36 +379,11 @@ impl MeshPlane {
     pub(crate) fn return_ring(&self, src: usize, dst: usize) -> &SpscRing<Spent> {
         &self.returns[src * self.workers + dst]
     }
-}
 
-/// The delivery plane of one run: exactly one topology is materialized.
-pub(crate) enum Plane {
-    Star(StarPlane),
-    Mesh(MeshPlane),
-}
-
-impl Plane {
-    pub(crate) fn star(&self) -> &StarPlane {
-        match self {
-            Plane::Star(star) => star,
-            Plane::Mesh(_) => unreachable!("star plane requested on a mesh run"),
-        }
-    }
-
-    pub(crate) fn mesh(&self) -> &MeshPlane {
-        match self {
-            Plane::Mesh(mesh) => mesh,
-            Plane::Star(_) => unreachable!("mesh plane requested on a star run"),
-        }
-    }
-
-    /// Envelopes/batches currently sitting in delivery rings — a racy gauge,
-    /// read only for abort diagnostics (never for termination decisions).
+    /// Envelopes currently sitting in mesh rings — a racy gauge, read only
+    /// for abort diagnostics (never for termination decisions).
     fn inflight_envelopes(&self) -> u64 {
-        match self {
-            Plane::Star(star) => star.rings.iter().map(|r| r.len() as u64).sum(),
-            Plane::Mesh(mesh) => mesh.inbox.iter().map(|r| r.len() as u64).sum(),
-        }
+        self.inbox.iter().map(|r| r.len() as u64).sum()
     }
 }
 
@@ -531,8 +446,8 @@ pub(crate) struct Shared {
     /// Whether workers should mbind their arenas and prefer same-node stash
     /// drains (false whenever `worker_node` is uniformly zero).
     pub(crate) numa_aware: bool,
-    /// The delivery topology's data plane.
-    pub(crate) plane: Plane,
+    /// The delivery mesh.
+    pub(crate) mesh: MeshPlane,
     /// The node tier's data plane: worker↔leader rings, per-link control
     /// blocks and the per-node drop ledgers.  `None` unless the run spans
     /// multiple nodes over a real transport.
@@ -617,7 +532,7 @@ pub(crate) struct WorkerOutput {
 ///
 /// Times in the report are wall-clock nanoseconds on the host machine; item
 /// and counter totals are identical to a simulator run of the same
-/// deterministic workload, on either delivery topology.
+/// deterministic workload.
 pub fn run_threaded(
     config: NativeBackendConfig,
     mut make_app: impl FnMut(WorkerId) -> Box<dyn WorkerApp>,
@@ -625,42 +540,12 @@ pub fn run_threaded(
     let topo = config.common.tram.topology;
     let workers = topo.total_workers() as usize;
     assert!(workers > 0, "topology must have at least one worker");
-    assert!(config.ring_capacity > 0, "ring capacity must be positive");
     assert!(
         config.local_batch_items > 0,
         "local batches must hold at least one item"
     );
 
-    // Star-only plumbing: the collector channel and the per-worker local
-    // bypass channels (mesh traffic rides the per-pair rings instead).
-    let mut star_channels = None;
-    let plane = match config.delivery {
-        DeliveryTopology::Mesh => Plane::Mesh(MeshPlane::new(
-            workers,
-            config.resolved_mesh_capacity(workers),
-        )),
-        DeliveryTopology::Star => {
-            let (msg_tx, msg_rx) = unbounded();
-            let mut local_tx = Vec::with_capacity(workers);
-            let mut local_rxs = Vec::with_capacity(workers);
-            for _ in 0..workers {
-                let (tx, rx) = unbounded();
-                local_tx.push(tx);
-                local_rxs.push(rx);
-            }
-            star_channels = Some((msg_rx, local_rxs));
-            Plane::Star(StarPlane {
-                rings: (0..workers)
-                    .map(|_| SpscRing::new(config.ring_capacity))
-                    .collect(),
-                returns: (0..workers)
-                    .map(|_| SpscRing::new(config.ring_capacity))
-                    .collect(),
-                local_tx,
-                msg_tx,
-            })
-        }
-    };
+    let mesh = MeshPlane::new(workers, config.resolved_mesh_capacity(workers));
     let pp = if config.common.tram.scheme == Scheme::PP {
         (0..topo.total_procs())
             .map(|_| {
@@ -703,13 +588,6 @@ pub fn run_threaded(
     // nodes AND a transport was asked for; otherwise multi-node topologies
     // keep running entirely in-process, exactly as before.
     let node_transport = config.transport.filter(|_| topo.nodes() > 1);
-    if node_transport.is_some() {
-        assert_eq!(
-            config.delivery,
-            DeliveryTopology::Mesh,
-            "the node-leader tier requires the mesh delivery topology"
-        );
-    }
     let transports: Vec<Box<dyn Transport>> = match node_transport {
         None => Vec::new(),
         // Mesh construction failures are configuration/environment errors
@@ -778,7 +656,7 @@ pub fn run_threaded(
         pin_workers: config.pin_workers,
         worker_node,
         numa_aware,
-        plane,
+        mesh,
         node_plane,
     };
     let apps: Vec<Box<dyn WorkerApp>> = topo.all_workers().map(&mut make_app).collect();
@@ -794,7 +672,6 @@ pub fn run_threaded(
     }
 
     let mut outputs: Vec<WorkerOutput> = Vec::with_capacity(workers);
-    let mut collector_counters = Counters::new();
     let mut verdict = Verdict::Watchdog;
     let mut stalled_ever = vec![false; workers];
     let mut join_failures: Vec<String> = Vec::new();
@@ -811,7 +688,6 @@ pub fn run_threaded(
     let mut node_reports: Vec<NodeDiag> = Vec::new();
     std::thread::scope(|scope| {
         let shared = &shared;
-        let mut collector = None;
         // Node leaders spawn alongside the workers and exit on the same
         // `stop` flag; they never gate the start barrier because they move
         // no traffic until workers feed their uplinks.
@@ -820,22 +696,11 @@ pub fn run_threaded(
             .enumerate()
             .map(|(n, t)| scope.spawn(move || node::leader_main(shared, n as u32, t)))
             .collect();
-        let handles: Vec<_> = match star_channels {
-            Some((msg_rx, local_rxs)) => {
-                collector = Some(scope.spawn(move || star::collector_main(shared, msg_rx)));
-                topo.all_workers()
-                    .zip(apps.into_iter().zip(local_rxs))
-                    .map(|(w, (app, local_rx))| {
-                        scope.spawn(move || star::worker_main(shared, w, app, local_rx))
-                    })
-                    .collect()
-            }
-            None => topo
-                .all_workers()
-                .zip(apps)
-                .map(|(w, app)| scope.spawn(move || mesh::worker_main(shared, w, app)))
-                .collect(),
-        };
+        let handles: Vec<_> = topo
+            .all_workers()
+            .zip(apps)
+            .map(|(w, app)| scope.spawn(move || mesh::worker_main(shared, w, app)))
+            .collect();
 
         // Release the start barrier only once every thread exists: the
         // measured window is pure run time, not OS thread creation (whose
@@ -843,8 +708,7 @@ pub fn run_threaded(
         let start = Instant::now();
         shared.go.store(true, Ordering::Release);
 
-        // Quiescence monitor — the control plane.  On the mesh this is all
-        // that remains of the collector role: watch the per-worker done
+        // Quiescence monitor — the control plane: watch the per-worker done
         // flags and the sent/delivered counter sums (see the module docs for
         // why the double-read of the sent sum around the delivered sum is
         // sufficient), enforce the watchdog, and signal stop.
@@ -924,15 +788,6 @@ pub fn run_threaded(
                 )),
             }
         }
-        if let Some(collector) = collector {
-            match collector.join() {
-                Ok(counters) => collector_counters = counters,
-                Err(payload) => join_failures.push(format!(
-                    "collector thread died: {}",
-                    panic_message(payload.as_ref())
-                )),
-            }
-        }
         for (n, handle) in leader_handles.into_iter().enumerate() {
             match handle.join() {
                 Ok(diag) => node_reports.push(diag),
@@ -944,7 +799,7 @@ pub fn run_threaded(
         }
     });
 
-    let mut counters = collector_counters;
+    let mut counters = Counters::new();
     let mut latency = LatencyRecorder::new();
     let mut app_latency = LatencyRecorder::new();
     let mut tram = TramStats::new();
@@ -968,14 +823,12 @@ pub fn run_threaded(
     // return rings when `stop` landed go home to their arenas before the
     // audit charges them as leaks.  Safe — every worker has joined, so this
     // thread is the rings' only remaining accessor.
-    if let Plane::Mesh(mesh) = &shared.plane {
-        if !shared.arenas.is_empty() {
-            for src in 0..workers {
-                for dst in 0..workers {
-                    while let Some(spent) = mesh.return_ring(src, dst).pop() {
-                        if let Spent::Slab(handle) = spent {
-                            shared.arenas[src].release(handle.slab);
-                        }
+    if !shared.arenas.is_empty() {
+        for src in 0..workers {
+            for dst in 0..workers {
+                while let Some(spent) = shared.mesh.return_ring(src, dst).pop() {
+                    if let Spent::Slab(handle) = spent {
+                        shared.arenas[src].release(handle.slab);
                     }
                 }
             }
@@ -1103,7 +956,7 @@ pub fn run_threaded(
                     .iter()
                     .map(|g| g.load(Ordering::Relaxed))
                     .sum(),
-                inflight_ring_envelopes: shared.plane.inflight_envelopes(),
+                inflight_ring_envelopes: shared.mesh.inflight_envelopes(),
                 arena_audits: arena_audits.clone(),
                 node_reports: node_reports.clone(),
             };
@@ -1189,139 +1042,41 @@ mod tests {
         }
     }
 
-    fn run_with(
-        delivery: DeliveryTopology,
-        store: MessageStore,
-        scheme: Scheme,
-        updates: u64,
-        seed: u64,
-    ) -> RunReport {
+    fn run(scheme: Scheme, updates: u64, seed: u64) -> RunReport {
         let topo = Topology::smp(1, 2, 4); // 8 workers, 2 procs
         let tram = TramConfig::new(scheme, topo)
             .with_buffer_items(32)
             .with_item_bytes(16);
-        run_threaded(
-            NativeBackendConfig::new(tram)
-                .with_seed(seed)
-                .with_delivery(delivery)
-                .with_message_store(store),
-            |w| {
-                Box::new(RandomUpdates {
-                    me: w,
-                    remaining: updates,
-                    chunk: 64,
-                    flushed: false,
-                })
-            },
-        )
-    }
-
-    fn run_on(delivery: DeliveryTopology, scheme: Scheme, updates: u64, seed: u64) -> RunReport {
-        run_with(delivery, MessageStore::SlabArena, scheme, updates, seed)
-    }
-
-    fn run(scheme: Scheme, updates: u64, seed: u64) -> RunReport {
-        run_on(DeliveryTopology::Mesh, scheme, updates, seed)
+        run_threaded(NativeBackendConfig::new(tram).with_seed(seed), |w| {
+            Box::new(RandomUpdates {
+                me: w,
+                remaining: updates,
+                chunk: 64,
+                flushed: false,
+            })
+        })
     }
 
     #[test]
     fn all_items_delivered_every_scheme_on_both_topologies() {
-        for delivery in [DeliveryTopology::Mesh, DeliveryTopology::Star] {
-            for scheme in Scheme::ALL {
-                let report = run_on(delivery, scheme, 500, 7);
-                let expected = 500 * 8;
-                assert!(
-                    report.clean(),
-                    "{delivery:?}/{scheme}: run did not finish cleanly"
-                );
-                assert_eq!(report.backend, Backend::Native);
-                assert_eq!(
-                    report.items_sent, expected,
-                    "{delivery:?}/{scheme}: wrong send count"
-                );
-                assert_eq!(
-                    report.items_delivered, expected,
-                    "{delivery:?}/{scheme}: items lost or duplicated"
-                );
-                assert_eq!(
-                    report.counter("app_received"),
-                    expected,
-                    "{delivery:?}/{scheme}"
-                );
-                assert_eq!(
-                    report.counter("app_sent_checksum"),
-                    report.counter("app_received_checksum"),
-                    "{delivery:?}/{scheme}: checksum mismatch"
-                );
-                assert!(report.total_time_ns > 0);
-                assert!(report.item_latency.count() > 0);
-            }
-        }
-    }
-
-    #[test]
-    fn mesh_and_star_produce_identical_totals() {
         for scheme in Scheme::ALL {
-            let mesh = run_on(DeliveryTopology::Mesh, scheme, 400, 23);
-            let star = run_on(DeliveryTopology::Star, scheme, 400, 23);
+            let report = run(scheme, 500, 7);
+            let expected = 500 * 8;
+            assert!(report.clean(), "{scheme}: run did not finish cleanly");
+            assert_eq!(report.backend, Backend::Native);
+            assert_eq!(report.items_sent, expected, "{scheme}: wrong send count");
             assert_eq!(
-                mesh.counter("app_received_checksum"),
-                star.counter("app_received_checksum"),
-                "{scheme}: topology changed the results"
+                report.items_delivered, expected,
+                "{scheme}: items lost or duplicated"
             );
-            assert_eq!(mesh.items_sent, star.items_sent, "{scheme}");
+            assert_eq!(report.counter("app_received"), expected, "{scheme}");
             assert_eq!(
-                mesh.counter("wire_items"),
-                star.counter("wire_items"),
-                "{scheme}: topology changed what counts as wire traffic"
+                report.counter("app_sent_checksum"),
+                report.counter("app_received_checksum"),
+                "{scheme}: checksum mismatch"
             );
-        }
-    }
-
-    #[test]
-    fn arena_and_vecpool_stores_produce_identical_totals() {
-        // The message store is a transport detail: switching it must never
-        // change what the application computes, item totals, or what counts
-        // as wire traffic.
-        for scheme in Scheme::ALL {
-            let arena = run_with(
-                DeliveryTopology::Mesh,
-                MessageStore::SlabArena,
-                scheme,
-                400,
-                29,
-            );
-            let pool = run_with(
-                DeliveryTopology::Mesh,
-                MessageStore::VecPool,
-                scheme,
-                400,
-                29,
-            );
-            assert!(arena.clean() && pool.clean(), "{scheme}");
-            // PP's message *boundaries* depend on how the racing inserters
-            // interleave (same either store, but not across two runs), so
-            // message/byte counts are only comparable for the worker-private
-            // schemes; item totals are exact everywhere.
-            let comparable: &[&str] = if scheme == Scheme::PP {
-                &["app_received_checksum", "wire_items"]
-            } else {
-                &[
-                    "app_received_checksum",
-                    "wire_items",
-                    "wire_messages",
-                    "wire_bytes",
-                ]
-            };
-            for &counter in comparable {
-                assert_eq!(
-                    arena.counter(counter),
-                    pool.counter(counter),
-                    "{scheme}: {counter} diverged between stores"
-                );
-            }
-            assert_eq!(arena.items_sent, pool.items_sent, "{scheme}");
-            assert_eq!(arena.items_delivered, pool.items_delivered, "{scheme}");
+            assert!(report.total_time_ns > 0);
+            assert!(report.item_latency.count() > 0);
         }
     }
 
@@ -1378,21 +1133,19 @@ mod tests {
     #[test]
     fn grouping_recycles_on_every_topology_and_store() {
         // A steady stream of process-addressed messages must recycle its
-        // message storage, whatever that storage is: the star collector and
-        // the VecPool mesh reuse grouping vectors; the slab-arena mesh
-        // recycles slabs (claims keep succeeding — zero misses — because
+        // message storage, whatever that storage is: PP's shipped vectors
+        // are reused by the receiver's grouping pass; WPs's slab arenas
+        // recycle slabs (claims keep succeeding — zero misses — because
         // consumed slabs come home over the return rings).
-        for delivery in [DeliveryTopology::Mesh, DeliveryTopology::Star] {
-            let report = run_with(delivery, MessageStore::VecPool, Scheme::WPs, 2_000, 5);
-            assert!(report.clean());
-            let hits = report.counter("batch_pool_hits");
-            let misses = report.counter("batch_pool_misses");
-            assert!(
-                hits > 0,
-                "{delivery:?}: grouping must reuse vectors (hits={hits} misses={misses})"
-            );
-        }
-        let report = run_on(DeliveryTopology::Mesh, Scheme::WPs, 2_000, 5);
+        let report = run(Scheme::PP, 2_000, 5);
+        assert!(report.clean());
+        let hits = report.counter("batch_pool_hits");
+        let misses = report.counter("batch_pool_misses");
+        assert!(
+            hits > 0,
+            "PP grouping must reuse vectors (hits={hits} misses={misses})"
+        );
+        let report = run(Scheme::WPs, 2_000, 5);
         assert!(report.clean());
         let claims = report.counter("arena_claims");
         assert!(claims > 0, "arena store must claim slabs");
@@ -1422,23 +1175,20 @@ mod tests {
 
     #[test]
     fn pp_uses_shared_claim_buffers() {
-        for delivery in [DeliveryTopology::Mesh, DeliveryTopology::Star] {
-            let report = run_on(delivery, Scheme::PP, 500, 11);
-            assert!(report.clean(), "{delivery:?}");
-            // The PP path records its stats manually; inserts must show up.
-            assert!(report.tram.items_inserted() > 0, "{delivery:?}");
-            assert!(
-                report.counter("grouping_passes") > 0,
-                "{delivery:?}: PP groups at the destination"
-            );
-        }
+        let report = run(Scheme::PP, 500, 11);
+        assert!(report.clean());
+        // The PP path records its stats manually; inserts must show up.
+        assert!(report.tram.items_inserted() > 0);
+        assert!(
+            report.counter("grouping_passes") > 0,
+            "PP groups at the destination"
+        );
     }
 
     #[test]
     fn watchdog_reports_unclean_instead_of_hanging() {
         // An app that strands items in a buffer it never flushes (and a policy
-        // that never flushes them either) must terminate via the watchdog, on
-        // both topologies.
+        // that never flushes them either) must terminate via the watchdog.
         struct Strander {
             sent: bool,
         }
@@ -1457,37 +1207,27 @@ mod tests {
                 self.sent
             }
         }
-        for delivery in [DeliveryTopology::Mesh, DeliveryTopology::Star] {
-            let topo = Topology::smp(1, 2, 4);
-            let tram = TramConfig::new(Scheme::WW, topo).with_buffer_items(1024);
-            let report = run_threaded(
-                NativeBackendConfig::new(tram)
-                    .with_max_wall(Duration::from_millis(150))
-                    .with_delivery(delivery),
-                |_| Box::new(Strander { sent: false }),
-            );
-            assert!(
-                !report.clean(),
-                "{delivery:?}: stranded items must be reported, not hidden"
-            );
-            let RunOutcome::Aborted {
-                reason,
-                diagnostics,
-            } = &report.outcome
-            else {
-                panic!(
-                    "{delivery:?}: stranding must abort, got {:?}",
-                    report.outcome
-                );
-            };
-            assert!(reason.contains("watchdog"), "{delivery:?}: {reason}");
-            assert_eq!(diagnostics.total_workers, 8, "{delivery:?}");
-            assert!(
-                diagnostics.panicked_workers.is_empty(),
-                "{delivery:?}: nobody panicked"
-            );
-            assert!(report.items_delivered < report.items_sent, "{delivery:?}");
-        }
+        let topo = Topology::smp(1, 2, 4);
+        let tram = TramConfig::new(Scheme::WW, topo).with_buffer_items(1024);
+        let report = run_threaded(
+            NativeBackendConfig::new(tram).with_max_wall(Duration::from_millis(150)),
+            |_| Box::new(Strander { sent: false }),
+        );
+        assert!(
+            !report.clean(),
+            "stranded items must be reported, not hidden"
+        );
+        let RunOutcome::Aborted {
+            reason,
+            diagnostics,
+        } = &report.outcome
+        else {
+            panic!("stranding must abort, got {:?}", report.outcome);
+        };
+        assert!(reason.contains("watchdog"), "{reason}");
+        assert_eq!(diagnostics.total_workers, 8);
+        assert!(diagnostics.panicked_workers.is_empty(), "nobody panicked");
+        assert!(report.items_delivered < report.items_sent);
     }
 
     #[test]
@@ -1577,31 +1317,24 @@ mod tests {
                 self.done
             }
         }
-        for delivery in [DeliveryTopology::Mesh, DeliveryTopology::Star] {
-            let topo = Topology::smp(1, 2, 4);
-            let tram = TramConfig::new(Scheme::PP, topo).with_buffer_items(32);
-            let report = run_threaded(
-                NativeBackendConfig::new(tram)
-                    .with_delivery(delivery)
-                    .with_max_wall(Duration::from_secs(20)),
-                |w| Box::new(SendThenPanic { me: w, done: false }),
-            );
-            let RunOutcome::Aborted { diagnostics, .. } = &report.outcome else {
-                panic!(
-                    "{delivery:?}: expected an aborted outcome, got {:?}",
-                    report.outcome
-                );
-            };
-            assert_eq!(diagnostics.panicked_workers, vec![2], "{delivery:?}");
-            assert_eq!(diagnostics.items_sent, 10, "{delivery:?}");
-            assert_eq!(diagnostics.items_delivered, 0, "{delivery:?}");
-            assert_eq!(
-                diagnostics.items_dropped,
-                10,
-                "{delivery:?}: the staged run is counted dropped: {}",
-                diagnostics.render()
-            );
-        }
+        let topo = Topology::smp(1, 2, 4);
+        let tram = TramConfig::new(Scheme::PP, topo).with_buffer_items(32);
+        let report = run_threaded(
+            NativeBackendConfig::new(tram).with_max_wall(Duration::from_secs(20)),
+            |w| Box::new(SendThenPanic { me: w, done: false }),
+        );
+        let RunOutcome::Aborted { diagnostics, .. } = &report.outcome else {
+            panic!("expected an aborted outcome, got {:?}", report.outcome);
+        };
+        assert_eq!(diagnostics.panicked_workers, vec![2]);
+        assert_eq!(diagnostics.items_sent, 10);
+        assert_eq!(diagnostics.items_delivered, 0);
+        assert_eq!(
+            diagnostics.items_dropped,
+            10,
+            "the staged run is counted dropped: {}",
+            diagnostics.render()
+        );
     }
 
     #[test]
@@ -1754,8 +1487,9 @@ mod tests {
         assert_eq!(arena.resolved_mesh_capacity(8), 128);
         assert_eq!(arena.resolved_mesh_capacity(64), 32);
         assert_eq!(arena.resolved_mesh_capacity(1024), 8, "floor holds");
-        // Vector rings: the PR 4 sizing, unchanged.
-        let pool = arena.with_message_store(MessageStore::VecPool);
+        // Vector rings (PP): 4096 total slots, at least 64 per pair.
+        let pool = NativeBackendConfig::new(TramConfig::new(Scheme::PP, topo));
+        assert!(!pool.uses_arena());
         assert_eq!(pool.resolved_mesh_capacity(8), 512);
         assert_eq!(pool.resolved_mesh_capacity(16), 256);
         assert_eq!(pool.resolved_mesh_capacity(64), 64);
@@ -1785,9 +1519,9 @@ mod tests {
             "explicit arena size wins"
         );
         // PP and NoAgg never build arenas at all.
-        let pp = NativeBackendConfig::new(TramConfig::new(Scheme::PP, topo));
-        assert!(!pp.uses_arena());
-        let star = cfg.with_delivery(DeliveryTopology::Star);
-        assert!(!star.uses_arena(), "the star collector stays on vectors");
+        for scheme in [Scheme::PP, Scheme::NoAgg] {
+            let cfg = NativeBackendConfig::new(TramConfig::new(scheme, topo));
+            assert!(!cfg.uses_arena(), "{scheme}");
+        }
     }
 }

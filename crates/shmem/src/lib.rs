@@ -30,10 +30,8 @@
 //!
 //! All types are `Send + Sync` where appropriate and are stress-tested with
 //! real threads in this crate's test-suite; the `native-rt` crate builds its
-//! threaded execution backend out of them, and `bench` measures the WW vs PP
-//! insertion contention on real hardware (the A2 ablation in
-//! `docs/DESIGN.md`, which also has the insertion-path diagrams these
-//! primitives implement).
+//! threaded execution backend out of them.  `docs/DESIGN.md` has the
+//! insertion-path diagrams these primitives implement.
 
 pub mod claim;
 pub mod counter;

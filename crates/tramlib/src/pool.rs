@@ -9,8 +9,8 @@
 //!
 //! The pool is deliberately not thread-safe: each [`crate::Aggregator`] and
 //! each receive-side [`crate::PooledReceiver`] owns its own pool, matching the
-//! threading model of both execution substrates (aggregators are per-worker /
-//! per-collector state).
+//! threading model of both execution substrates (aggregators and receivers
+//! are per-worker state).
 
 /// Counters describing how well a [`VecPool`] is being reused.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -54,10 +54,6 @@ fn main() {
             native_results_are_deterministic_per_seed_and_differ_across_seeds,
         ),
         (
-            "deprecated_run_histogram_on_shim_matches_the_spec_path",
-            deprecated_run_histogram_on_shim_matches_the_spec_path,
-        ),
-        (
             "open_loop_service_conserves_and_is_deterministic_per_seed",
             open_loop_service_conserves_and_is_deterministic_per_seed,
         ),
@@ -229,21 +225,6 @@ fn native_results_are_deterministic_per_seed_and_differ_across_seeds() {
         a.sent_checksum, c.sent_checksum,
         "different seeds should generate different traffic"
     );
-}
-
-#[allow(deprecated)]
-fn deprecated_run_histogram_on_shim_matches_the_spec_path() {
-    // The pre-RunSpec entry points survive as deprecated shims; until they
-    // are removed they must produce bit-identical results to the spec path.
-    for backend in [Backend::Sim, Backend::Native] {
-        let via_spec = run(backend, Scheme::WPs, 42);
-        let config = HistogramConfig::new(ClusterSpec::small_smp(1), Scheme::WPs)
-            .with_updates(1_000)
-            .with_buffer(32)
-            .with_seed(42);
-        let via_shim = collect(backend, run_histogram_on(backend, config), Scheme::WPs);
-        assert_eq!(via_shim, via_spec, "{backend}: shim diverged from RunSpec");
-    }
 }
 
 fn open_loop_service_conserves_and_is_deterministic_per_seed() {
