@@ -5,14 +5,17 @@
 //! `&'static str` names to `u64` values that supports merging across
 //! PEs/processes and pretty printing.
 //!
-//! The registry sits on per-item hot paths (applications bump several counters
-//! per delivered item at millions of items per second), so the storage is a
-//! small vector searched linearly with **pointer-first** comparison: counter
-//! names are `&'static str` literals, so a repeat caller almost always matches
-//! on the pointer without touching the string bytes.  Hits bubble one slot
-//! towards the front, so the hottest counters settle at the start of the scan.
-//! Name-ordered iteration (printing, serialization) sorts on demand — that
-//! path runs once per report, not per item.
+//! The registry is for per-message, per-batch and per-run quantities.  A
+//! lookup still costs a scan, so the runtime layers tally per-item events
+//! (inserts, local-bypass items, unaggregated singles) in plain integers and
+//! fold them into a registry once, at the end of a run; the histogram app
+//! bumps its counters once per delivered slice and generated chunk.  The
+//! storage is a small vector searched linearly with **pointer-first**
+//! comparison: counter names are `&'static str` literals, so a repeat caller
+//! almost always matches on the pointer without touching the string bytes.
+//! Hits bubble one slot towards the front, so the hottest counters settle at
+//! the start of the scan.  Name-ordered iteration (printing, serialization)
+//! sorts on demand — that path runs once per report.
 
 /// Registry of named `u64` counters.
 #[derive(Debug, Clone, Default)]

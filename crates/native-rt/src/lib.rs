@@ -5,8 +5,10 @@
 //! applications* on real shared memory.  [`run_threaded`] runs one OS thread
 //! per worker PE of the configured topology:
 //!
-//! * workers running the **WW / WPs / WsP / NoAgg** schemes own real
-//!   [`tramlib::Aggregator`]s and insert into private per-destination buffers;
+//! * workers running the **WW / WPs / WsP** schemes own real
+//!   [`tramlib::Aggregator`]s and write items straight into private
+//!   per-destination slabs; under **NoAgg** every item is its own inline
+//!   envelope, with no aggregator in between;
 //! * under **PP** all workers of a process insert into shared
 //!   [`shmem::ClaimBuffer`]s with atomic slot claiming — one buffer per
 //!   destination process, exactly the contended path §III-C of the paper

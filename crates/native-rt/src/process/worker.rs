@@ -47,7 +47,7 @@ use net_model::{ProcId, Topology, WorkerId};
 use runtime_api::{FaultKind, FaultPlan, FaultTrigger, Payload, RunCtx, WorkerApp};
 use shmem::{SegArena, SegClaim, SegRing};
 use sim_core::StreamRng;
-use tramlib::{EmitReason, Item, Scheme, TramConfig, TramStats};
+use tramlib::{AdaptiveTimeout, EmitReason, Item, Scheme, TramConfig, TramStats};
 
 use super::layout::{self, RunCtl, WorkerStatus};
 use crate::sys;
@@ -212,6 +212,23 @@ pub(super) struct ProcCtx<'w> {
     ranges: Vec<(u32, u32, u32)>,
     /// Explicit/idle/timeout flushes emitted (fault-trigger clock).
     pub(super) flush_emits: u64,
+    /// Whether the timeout poll has anything to do: the flush policy has a
+    /// timeout and the scheme buffers (the poll then never reads the clock
+    /// otherwise).
+    has_timeout: bool,
+    /// A wall-clock bound, from below, on the oldest insert into this
+    /// worker's buffers (or, under PP, its process's claim buffers) since
+    /// its last flush.  The buffers keep no per-item timestamps and `send`
+    /// stamps nothing, so the timeout poll keeps this sender-side watermark
+    /// itself (see [`ProcCtx::poll_timeout`]).
+    oldest_ns: Option<u64>,
+    /// Clock reading of the previous timeout poll.
+    last_poll_ns: u64,
+    /// `local_sent - bypassed` at the last flush: the poll sees new
+    /// buffered sends as this tally moving.
+    buffered_at_flush: u64,
+    /// The adaptive-timeout controller, when the policy asks for one.
+    adaptive: Option<AdaptiveTimeout>,
     /// Local mirror of the shared `sent` counter (fault-trigger clock).
     pub(super) local_sent: u64,
     /// Cached dead mask, refreshed once per quantum (and on PP spins).
@@ -257,6 +274,11 @@ impl<'w> ProcCtx<'w> {
             drain_buf: Vec::new(),
             ranges: Vec::new(),
             flush_emits: 0,
+            has_timeout: world.tram.flush_policy.timeout_ns.is_some() && scheme != Scheme::NoAgg,
+            oldest_ns: None,
+            last_poll_ns: 0,
+            buffered_at_flush: 0,
+            adaptive: world.tram.flush_policy.adaptive.map(AdaptiveTimeout::new),
             local_sent: 0,
             dead: 0,
             sibling_mask,
@@ -342,6 +364,9 @@ impl<'w> ProcCtx<'w> {
     fn record_message(&mut self, items: usize, reason: EmitReason) {
         let bytes = self.world.tram.message_bytes(items);
         self.tram.record_message(items, bytes, reason);
+        if let Some(adaptive) = &mut self.adaptive {
+            adaptive.observe(reason, items, self.g);
+        }
     }
 
     /// Ship one item as its own message (NoAgg, or a dry arena's fallback).
@@ -372,6 +397,44 @@ impl<'w> ProcCtx<'w> {
         self.counters
             .add("wire_messages", self.tram.messages_sent());
         self.counters.add("wire_items", self.tram.items_sent());
+        if self.has_timeout {
+            self.counters
+                .max("flush_timeout_final_ns", self.timeout_ns());
+        }
+        if let Some(adaptive) = &self.adaptive {
+            self.counters
+                .add("adaptive_timeout_adjustments", adaptive.adjustments());
+        }
+    }
+
+    /// The timeout in force: the adaptive controller's value, or the fixed
+    /// one.  Only meaningful when `has_timeout`.
+    fn timeout_ns(&self) -> u64 {
+        match &self.adaptive {
+            Some(adaptive) => adaptive.timeout_ns(),
+            None => self.world.tram.flush_policy.timeout_ns.unwrap_or(u64::MAX),
+        }
+    }
+
+    /// Timeout poll, once per scheduling iteration: once the oldest
+    /// un-flushed insert has waited the timeout, flush every buffer.  Sends
+    /// buffered since the last flush all happened after the previous poll,
+    /// so that poll's clock reading starts the watermark — no clock read or
+    /// stamp per item.  Returns at once when there is no timeout.
+    pub(super) fn poll_timeout(&mut self) {
+        if !self.has_timeout {
+            return;
+        }
+        let now = self.now_ns();
+        let buffered = self.local_sent - self.bypassed;
+        match self.oldest_ns {
+            None if buffered != self.buffered_at_flush => self.oldest_ns = Some(self.last_poll_ns),
+            Some(oldest) if now.saturating_sub(oldest) >= self.timeout_ns() => {
+                self.flush_with(EmitReason::TimeoutFlush);
+            }
+            _ => {}
+        }
+        self.last_poll_ns = now;
     }
 
     /// Seal `buf` into a slab of this worker's arena and ship the descriptor
@@ -564,6 +627,8 @@ impl<'w> ProcCtx<'w> {
     /// Push the staged PP runs, then drain every buffer that holds items
     /// (the explicit/idle flush of all five schemes).
     fn flush_with(&mut self, reason: EmitReason) {
+        self.oldest_ns = None;
+        self.buffered_at_flush = self.local_sent - self.bypassed;
         self.flush_emits += 1;
         self.status()
             .flush_emits
@@ -877,6 +942,10 @@ fn child_loop(world: &World, app: &mut dyn WorkerApp, ctx: &mut ProcCtx<'_>) {
         // Staged PP runs enter the shared buffers every iteration, before
         // the done flag: a staged item never outlives its iteration.
         ctx.push_pp_runs();
+        // Poll buffer timeouts on every iteration (no clock read without a
+        // timeout policy): a worker kept busy by incoming requests must
+        // still age out its partially-filled buffers.
+        ctx.poll_timeout();
         let done = (app.local_done() || quiesced) && ctx.buffers_empty();
         ctx.status()
             .stash

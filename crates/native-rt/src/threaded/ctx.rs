@@ -3,6 +3,11 @@
 //! The context owns everything a worker thread touches per item — aggregator,
 //! RNG, counters, local-bypass batches, the mesh overflow stash — and routes
 //! emitted messages onto the per-pair SPSC rings of the delivery mesh.
+//!
+//! Per-item events (inserts, local-bypass items, NoAgg singles, node-tier
+//! envelopes) are tallied in plain integers; the named counters and the
+//! wire counters are derived from them once, as the worker exits
+//! ([`NativeWorkerCtx::finish_stats`]).
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -34,8 +39,9 @@ pub(crate) struct NativeWorkerCtx<'a> {
     pub(crate) shared: &'a Shared,
     pub(crate) me: WorkerId,
     pub(crate) my_proc: ProcId,
-    /// Worker-owned aggregator (None under PP, where the process-shared claim
-    /// buffers take its place).
+    /// Worker-owned slab-mode aggregator (WW, WPs, WsP).  None under PP,
+    /// where the process-shared claim buffers take its place, and under
+    /// NoAgg, which ships every item inline as its own envelope.
     pub(crate) aggregator: Option<Aggregator<Payload>>,
     pub(crate) rng: StreamRng,
     pub(crate) counters: Counters,
@@ -43,11 +49,20 @@ pub(crate) struct NativeWorkerCtx<'a> {
     /// Application-level latency samples (`RunCtx::record_app_latency`);
     /// merged across workers into the report's structured latency summary.
     pub(crate) app_latency: LatencyRecorder,
-    /// TramLib statistics for the PP path, which bypasses the `Aggregator`
-    /// type (the claim buffers do the buffering).
-    pub(crate) pp_stats: TramStats,
-    /// Whether the flush policy has a timeout at all (lets the per-iteration
-    /// timeout poll exit without reading the clock when it does not).
+    /// TramLib per-message statistics of the schemes without a worker-owned
+    /// aggregator (PP's drained claim buffers; NoAgg's singles are folded in
+    /// from `inserted` at exit).
+    tram: TramStats,
+    /// PP and NoAgg: items accepted for sending (not counting the local
+    /// bypass).  The aggregator tallies its own.
+    inserted: u64,
+    /// PP and NoAgg: items sent through the local bypass.
+    bypassed: u64,
+    /// Envelopes this worker routed to another cluster node (node tier).
+    wire_node_msgs: u64,
+    /// Whether the timeout poll has anything to do: the flush policy has a
+    /// timeout and the scheme buffers (lets the per-iteration poll exit
+    /// without reading the clock otherwise).
     pub(crate) has_timeout: bool,
     /// PP only: wall-clock stamp of the oldest insert this worker has made
     /// into the shared claim buffers since the last flush it observed.  The
@@ -165,10 +180,12 @@ impl<'a> NativeWorkerCtx<'a> {
     pub(crate) fn new(shared: &'a Shared, me: WorkerId) -> Self {
         let my_proc = shared.topo.proc_of_worker(me);
         let workers = shared.topo.total_workers();
-        let aggregator = if shared.tram.scheme == Scheme::PP {
-            None
-        } else {
-            Some(Aggregator::new(shared.tram, Owner::Worker(me)))
+        let scheme = shared.tram.scheme;
+        let aggregator = match scheme {
+            Scheme::PP | Scheme::NoAgg => None,
+            Scheme::WW | Scheme::WPs | Scheme::WsP => {
+                Some(Aggregator::new(shared.tram, Owner::Worker(me)))
+            }
         };
         Self {
             shared,
@@ -179,15 +196,18 @@ impl<'a> NativeWorkerCtx<'a> {
             counters: Counters::new(),
             latency: LatencyRecorder::new(),
             app_latency: LatencyRecorder::new(),
-            pp_stats: TramStats::new(),
-            has_timeout: shared.tram.flush_policy.timeout_ns.is_some(),
+            tram: TramStats::new(),
+            inserted: 0,
+            bypassed: 0,
+            wire_node_msgs: 0,
+            has_timeout: shared.tram.flush_policy.timeout_ns.is_some() && scheme != Scheme::NoAgg,
             pp_oldest_ns: None,
-            pp_adaptive: if shared.tram.scheme == Scheme::PP {
+            pp_adaptive: if scheme == Scheme::PP {
                 shared.tram.flush_policy.adaptive.map(AdaptiveTimeout::new)
             } else {
                 None
             },
-            pp_runs: if shared.tram.scheme == Scheme::PP {
+            pp_runs: if scheme == Scheme::PP {
                 (0..shared.topo.total_procs()).map(|_| Vec::new()).collect()
             } else {
                 Vec::new()
@@ -204,7 +224,7 @@ impl<'a> NativeWorkerCtx<'a> {
             stash_backoff: 0,
             stash_skip: 0,
             flush_emits: 0,
-            defer_pushes: shared.tram.scheme == Scheme::NoAgg,
+            defer_pushes: scheme == Scheme::NoAgg,
             arena: shared.arenas.get(me.idx()),
             pending_returns: Vec::new(),
             my_node: shared.worker_node.get(me.idx()).copied().unwrap_or(0),
@@ -266,15 +286,13 @@ impl<'a> NativeWorkerCtx<'a> {
         self.now_cache = self.shared.now_ns();
     }
 
-    /// Hand an aggregated message to the delivery plane, recording the wire
-    /// counters the simulator records in its routing layer.
+    /// Hand a heap-vector message to the delivery plane: PP's drained claim
+    /// buffers and the slab schemes' arena-miss fallbacks.  The message was
+    /// recorded in TramLib statistics where it was made; the wire counters
+    /// are derived from those at exit.
     pub(crate) fn emit(&mut self, message: OutboundMessage<Payload>) {
         self.publish_sent();
-        self.counters.incr("wire_messages");
-        self.counters.add("wire_bytes", message.bytes);
-        self.counters.add("wire_items", message.items.len() as u64);
         if message.reason.is_flush() {
-            self.counters.incr("wire_messages_flush");
             self.flush_emits += 1;
         }
         let target = match message.dest {
@@ -283,30 +301,15 @@ impl<'a> NativeWorkerCtx<'a> {
             // pair pins the worker that runs the grouping pass.
             MessageDest::Process(p) => self.shared.topo.group_receiver(self.my_proc, p),
         };
-        // Single-item worker-addressed messages (NoAgg) ride inline; their
-        // vector is recycled here, where it came from.
-        if message.items.len() == 1 && matches!(message.dest, MessageDest::Worker(_)) {
-            let mut items = message.items;
-            let item = items.pop().expect("one item");
-            if let Some(agg) = self.aggregator.as_mut() {
-                agg.recycle(items);
-            }
-            self.push_mesh(target, Envelope::Single(item));
-        } else {
-            self.push_mesh(target, Envelope::Message(message));
-        }
+        self.push_mesh(target, Envelope::Message(message));
     }
 
-    /// Hand a zero-copy slab message to the mesh, recording the same wire
-    /// counters as [`NativeWorkerCtx::emit`] — a slab is a transport detail,
-    /// not a different kind of message.
+    /// Hand a zero-copy slab message to the mesh, like [`NativeWorkerCtx::
+    /// emit`] — a slab is a transport detail, not a different kind of
+    /// message.
     pub(crate) fn emit_slab(&mut self, sealed: SlabSealed) {
         self.publish_sent();
-        self.counters.incr("wire_messages");
-        self.counters.add("wire_bytes", sealed.bytes);
-        self.counters.add("wire_items", sealed.handle.len as u64);
         if sealed.reason.is_flush() {
-            self.counters.incr("wire_messages_flush");
             self.flush_emits += 1;
         }
         let target = match sealed.dest {
@@ -319,8 +322,8 @@ impl<'a> NativeWorkerCtx<'a> {
     }
 
     /// Route a slab-path emission: sealed slabs to [`NativeWorkerCtx::
-    /// emit_slab`], arena-miss fallbacks (and NoAgg singles) to the vector
-    /// path's [`NativeWorkerCtx::emit`].
+    /// emit_slab`], arena-miss fallbacks to the vector path's
+    /// [`NativeWorkerCtx::emit`].
     pub(crate) fn emit_any(&mut self, message: EmittedMessage<Payload>) {
         match message {
             EmittedMessage::Slab(sealed) => self.emit_slab(sealed),
@@ -362,7 +365,7 @@ impl<'a> NativeWorkerCtx<'a> {
     /// (and the remote worker's delivery) is exact — no grouping state
     /// crosses the node boundary, only payloads.
     fn push_wire(&mut self, envelope: Envelope) {
-        self.counters.incr("wire_node_msgs");
+        self.wire_node_msgs += 1;
         match envelope {
             Envelope::Single(item) => self.wire_out.push(item),
             Envelope::Batch(mut items) => {
@@ -517,7 +520,6 @@ impl<'a> NativeWorkerCtx<'a> {
     /// whenever the worker runs out of other work, so nothing is ever
     /// stranded.
     pub(crate) fn deliver_local(&mut self, item: Item<Payload>) {
-        self.counters.incr("local_deliveries");
         let dest = item.dest.idx();
         let batch = &mut self.local_out[dest];
         if batch.is_empty() && batch.capacity() == 0 {
@@ -567,9 +569,10 @@ impl<'a> NativeWorkerCtx<'a> {
     }
 
     /// Take back a spent vector that came home over a return ring.  The
-    /// aggregator's pool gets it (it ships a vector away with every sealed
-    /// buffer, and the local-bypass path draws from the same pool); under PP
-    /// there is no aggregator, so the vector joins the local spares.
+    /// aggregator's pool gets it (its arena-miss fallbacks ship vectors
+    /// away, and the local-bypass path draws from the same pool); under PP
+    /// and NoAgg there is no aggregator, so the vector joins the local
+    /// spares.
     pub(crate) fn reclaim(&mut self, batch: Batch) {
         if batch.capacity() == 0 {
             return;
@@ -582,11 +585,11 @@ impl<'a> NativeWorkerCtx<'a> {
 
     /// Send a spent vector back to the worker that filled it.
     /// Falls back to local reuse when the return ring is full or the vector
-    /// was this worker's own.  Single-item vectors (NoAgg's per-item
-    /// messages) are simply dropped: a 32-byte allocation on the sender is
-    /// cheaper than a cold return-ring round trip per item.  Anything
-    /// larger goes home — even tiny configured buffers rely on the return
-    /// path for their allocation-free steady state.
+    /// was this worker's own.  Vectors with room for fewer than two items
+    /// are simply dropped: a 32-byte allocation on the sender is cheaper
+    /// than a cold return-ring round trip.  Anything larger goes home —
+    /// even tiny configured buffers rely on the return path for their
+    /// allocation-free steady state.
     pub(crate) fn return_spent(&mut self, src: usize, batch: Batch) {
         if batch.capacity() < 2 {
             return;
@@ -753,21 +756,13 @@ impl<'a> NativeWorkerCtx<'a> {
     /// PP insertion: stage the item in the run towards its destination
     /// process, pushing the run into the shared buffer once it holds `g`
     /// items.
-    fn send_pp(&mut self, item: Item<Payload>) {
-        let shared = self.shared;
-        let dst_proc = shared.topo.proc_of_worker(item.dest);
-        if shared.tram.local_bypass && dst_proc == self.my_proc {
-            self.pp_stats.record_local_bypass();
-            self.deliver_local(item);
-            return;
-        }
-        self.pp_stats.record_insert();
+    fn send_pp(&mut self, dst_proc: ProcId, item: Item<Payload>) {
         if self.has_timeout && self.pp_oldest_ns.is_none() {
             self.pp_oldest_ns = Some(self.now_cache);
         }
         let run = &mut self.pp_runs[dst_proc.idx()];
         run.push(item);
-        if run.len() >= shared.tram.buffer_items {
+        if run.len() >= self.shared.tram.buffer_items {
             self.push_pp_run(dst_proc.idx());
         }
     }
@@ -823,7 +818,7 @@ impl<'a> NativeWorkerCtx<'a> {
             return;
         }
         let bytes = self.shared.tram.message_bytes(items.len());
-        self.pp_stats.record_message(items.len(), bytes, reason);
+        self.tram.record_message(items.len(), bytes, reason);
         if let Some(adaptive) = &mut self.pp_adaptive {
             adaptive.observe(reason, items.len(), self.shared.tram.buffer_items);
         }
@@ -859,12 +854,8 @@ impl<'a> NativeWorkerCtx<'a> {
         }
         let now = self.shared.now_ns();
         if let Some(mut agg) = self.aggregator.take() {
-            match self.arena {
-                Some(arena) => {
-                    agg.poll_timeout_slab_each(arena, now, |message| self.emit_any(message));
-                }
-                None => agg.poll_timeout_each(now, |message| self.emit(message)),
-            }
+            let arena = self.slab_arena();
+            agg.poll_timeout_slab_each(arena, now, |message| self.emit_any(message));
             self.aggregator = Some(agg);
             return;
         }
@@ -913,6 +904,47 @@ impl<'a> NativeWorkerCtx<'a> {
             .add("cross_socket_msgs", self.cross_socket_msgs);
     }
 
+    /// Fold the per-item tallies into this worker's TramLib statistics and
+    /// derive the wire counters from them, as the process backend does.
+    /// Call once, as the worker exits: every message was recorded exactly
+    /// once where it was made, so the emit path itself counts nothing.
+    pub(crate) fn finish_stats(&mut self) -> TramStats {
+        let mut tram = std::mem::take(&mut self.tram);
+        if self.shared.tram.scheme == Scheme::NoAgg {
+            let bytes = self.shared.tram.message_bytes(1) * self.inserted;
+            tram.record_messages(
+                self.inserted,
+                self.inserted,
+                bytes,
+                EmitReason::Unaggregated,
+            );
+        }
+        tram.record_sends(self.inserted, self.bypassed);
+        if let Some(agg) = &self.aggregator {
+            tram.merge(&agg.stats());
+        }
+        let derived = [
+            ("wire_messages", tram.messages_sent()),
+            ("wire_items", tram.items_sent()),
+            ("wire_bytes", tram.bytes_sent()),
+            ("wire_messages_flush", tram.messages_flushed()),
+            // Every local-bypass item is handed to `deliver_local`.
+            ("local_deliveries", tram.items_local_bypass()),
+            ("wire_node_msgs", self.wire_node_msgs),
+        ];
+        for (name, value) in derived {
+            if value > 0 {
+                self.counters.add(name, value);
+            }
+        }
+        tram
+    }
+
+    /// The arena of a worker-owned aggregator: every slab scheme has one.
+    fn slab_arena(&self) -> &'a SlabArena<Item<Payload>> {
+        self.arena.expect("slab schemes run with a worker arena")
+    }
+
     /// Fold the inline single-item deliveries into the batch-length sketch
     /// (as 1-item batches) and hand the sketch over for the run report.
     pub(crate) fn take_batch_len(&mut self) -> QuantileSketch {
@@ -955,15 +987,11 @@ impl RunCtx for NativeWorkerCtx<'_> {
         let created = self.now_cache;
         let item = Item::new(dest, payload, created);
         self.pending_sent += 1;
-        if self.shared.tram.scheme == Scheme::PP {
-            self.send_pp(item);
-            return;
-        }
-        if let Some(arena) = self.arena {
+        if let Some(agg) = self.aggregator.as_mut() {
             // Zero-copy path: the item is written straight into its
             // destination's slab slot; nothing else happens until a slab
             // seals.
-            let agg = self.aggregator.as_mut().expect("worker aggregator");
+            let arena = self.arena.expect("slab schemes run with a worker arena");
             let outcome = agg.insert_slab_at(arena, item, created);
             if let Some(local) = outcome.local_delivery {
                 self.deliver_local(local);
@@ -973,13 +1001,21 @@ impl RunCtx for NativeWorkerCtx<'_> {
             }
             return;
         }
-        let agg = self.aggregator.as_mut().expect("worker aggregator");
-        let outcome = agg.insert_at(item, created);
-        if let Some(local) = outcome.local_delivery {
-            self.deliver_local(local);
+        let dst_proc = self.shared.topo.proc_of_worker(dest);
+        if self.shared.tram.local_bypass && dst_proc == self.my_proc {
+            self.bypassed += 1;
+            self.deliver_local(item);
+            return;
         }
-        if let Some(message) = outcome.message {
-            self.emit(message);
+        self.inserted += 1;
+        if self.shared.tram.scheme == Scheme::PP {
+            self.send_pp(dst_proc, item);
+        } else {
+            // NoAgg: the item is its own message and rides inline.  NoAgg
+            // defers every push to the stash, and `flush_stash` (like
+            // `ship_wire` on the node tier) publishes the sent count before
+            // the envelope becomes visible.
+            self.push_mesh(dest, Envelope::Single(item));
         }
     }
 
@@ -987,33 +1023,27 @@ impl RunCtx for NativeWorkerCtx<'_> {
         // An explicit flush means "everything I sent is on its way": ship the
         // pending local-bypass batches too.
         self.flush_local();
-        if self.shared.tram.scheme == Scheme::PP {
-            self.pp_stats.record_flush_call();
-            self.flush_pp(EmitReason::ExplicitFlush);
+        if let Some(mut agg) = self.aggregator.take() {
+            let arena = self.slab_arena();
+            agg.flush_slab_each(arena, |message| self.emit_any(message));
+            self.aggregator = Some(agg);
             return;
         }
-        if let Some(mut agg) = self.aggregator.take() {
-            match self.arena {
-                Some(arena) => agg.flush_slab_each(arena, |message| self.emit_any(message)),
-                None => agg.flush_each(|message| self.emit(message)),
-            }
-            self.aggregator = Some(agg);
+        self.tram.record_flush_call();
+        if self.shared.tram.scheme == Scheme::PP {
+            self.flush_pp(EmitReason::ExplicitFlush);
         }
     }
 
     fn flush_on_idle(&mut self) {
-        if self.shared.tram.scheme == Scheme::PP {
-            if self.shared.tram.flush_policy.on_idle {
-                self.flush_pp(EmitReason::IdleFlush);
-            }
+        if let Some(mut agg) = self.aggregator.take() {
+            let arena = self.slab_arena();
+            agg.flush_on_idle_slab_each(arena, |message| self.emit_any(message));
+            self.aggregator = Some(agg);
             return;
         }
-        if let Some(mut agg) = self.aggregator.take() {
-            match self.arena {
-                Some(arena) => agg.flush_on_idle_slab_each(arena, |message| self.emit_any(message)),
-                None => agg.flush_on_idle_each(|message| self.emit(message)),
-            }
-            self.aggregator = Some(agg);
+        if self.shared.tram.scheme == Scheme::PP && self.shared.tram.flush_policy.on_idle {
+            self.flush_pp(EmitReason::IdleFlush);
         }
     }
 }

@@ -122,10 +122,7 @@ pub(crate) fn worker_main(
     ctx.counters.add("batch_pool_hits", pool.hits);
     ctx.counters.add("batch_pool_misses", pool.misses);
     let batch_len = ctx.take_batch_len();
-    let mut tram = ctx.pp_stats;
-    if let Some(agg) = &ctx.aggregator {
-        tram.merge(agg.stats());
-    }
+    let tram = ctx.finish_stats();
     WorkerOutput {
         // A quarantined worker's application state is untrustworthy:
         // `on_finalize` is skipped for it (the monitor reports the panic).
@@ -510,7 +507,8 @@ fn handle_vec_message(
     message: tramlib::OutboundMessage<Payload>,
 ) {
     match message.dest {
-        // WW / NoAgg: the message already names its final worker.
+        // WW (arena-miss fallback): the message already names its final
+        // worker.
         MessageDest::Worker(_) => {
             let mut items = message.items;
             deliver_batch(app, ctx, &mut items);

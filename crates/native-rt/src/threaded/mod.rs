@@ -6,8 +6,9 @@
 //! destination worker), so the hot path is lock-free end to end:
 //!
 //! ```text
-//! worker thread ──insert──▶ Aggregator (WW/WPs/WsP/NoAgg, private)
+//! worker thread ──insert──▶ Aggregator (WW/WPs/WsP, private, slab mode)
 //!        │        ──stage──▶ run (PP, private, ≤ g items)
+//!        │        ──single─▶ inline envelope (NoAgg, one per item)
 //!        │                     │ insert_slice: one claim per run
 //!        │                     ▼
 //!        │                  ClaimBuffer (PP, shared, lock-free)
@@ -107,10 +108,9 @@ pub(crate) enum Envelope {
     /// grouped slices a receiving worker forwards to its process peers.
     Batch(Batch),
     /// A single-item worker-addressed message (NoAgg), carried inline: no
-    /// heap vector rides the mesh, so the per-item scheme pays neither an
-    /// allocation nor a return-ring round trip per message.  The wire
-    /// counters were already recorded at emit time — this is a transport
-    /// compression, not a semantic change.
+    /// heap vector and no aggregator is involved, so the per-item scheme
+    /// pays neither an allocation nor a return-ring round trip per message.
+    /// The sender tallies it as one unaggregated message.
     Single(Item<Payload>),
 }
 
@@ -1043,10 +1043,15 @@ mod tests {
     }
 
     fn run(scheme: Scheme, updates: u64, seed: u64) -> RunReport {
+        run_bypass(scheme, updates, seed, true)
+    }
+
+    fn run_bypass(scheme: Scheme, updates: u64, seed: u64, local_bypass: bool) -> RunReport {
         let topo = Topology::smp(1, 2, 4); // 8 workers, 2 procs
         let tram = TramConfig::new(scheme, topo)
             .with_buffer_items(32)
-            .with_item_bytes(16);
+            .with_item_bytes(16)
+            .with_local_bypass(local_bypass);
         run_threaded(NativeBackendConfig::new(tram).with_seed(seed), |w| {
             Box::new(RandomUpdates {
                 me: w,
@@ -1077,6 +1082,49 @@ mod tests {
             );
             assert!(report.total_time_ns > 0);
             assert!(report.item_latency.count() > 0);
+        }
+    }
+
+    #[test]
+    fn wire_counters_are_the_tram_stats_counted_once() {
+        // Every message and every send is tallied once, where it happens;
+        // the wire counters are derived from those tallies at exit, so the
+        // two views of the traffic must agree exactly.
+        for scheme in Scheme::ALL {
+            for local_bypass in [true, false] {
+                let report = run_bypass(scheme, 400, 17, local_bypass);
+                let tram = &report.tram;
+                let case = format!("{scheme} bypass={local_bypass}");
+                assert!(report.clean(), "{case}");
+                assert!(tram.messages_sent() > 0, "{case}");
+                assert_eq!(
+                    report.counter("wire_messages"),
+                    tram.messages_sent(),
+                    "{case}"
+                );
+                assert_eq!(report.counter("wire_items"), tram.items_sent(), "{case}");
+                assert_eq!(report.counter("wire_bytes"), tram.bytes_sent(), "{case}");
+                assert_eq!(
+                    tram.items_inserted() + tram.items_local_bypass(),
+                    report.items_sent,
+                    "{case}"
+                );
+                assert_eq!(
+                    report.counter("local_deliveries"),
+                    tram.items_local_bypass(),
+                    "{case}"
+                );
+                if !local_bypass {
+                    assert_eq!(tram.items_local_bypass(), 0, "{case}");
+                }
+                if scheme == Scheme::NoAgg {
+                    assert_eq!(
+                        tram.counters().get("messages_unaggregated"),
+                        report.counter("wire_messages"),
+                        "{case}"
+                    );
+                }
+            }
         }
     }
 

@@ -128,12 +128,12 @@ impl Cluster {
         let mut total = TramStats::new();
         for w in &self.workers {
             if let Some(agg) = &w.aggregator {
-                total.merge(agg.stats());
+                total.merge(&agg.stats());
             }
         }
         for p in &self.procs {
             if let Some(agg) = &p.shared_aggregator {
-                total.merge(agg.stats());
+                total.merge(&agg.stats());
             }
         }
         total

@@ -111,11 +111,19 @@ pub struct Aggregator<T> {
     /// (for timeout flushing; the fallback vector buffers track their own).
     slab_oldest: Vec<u64>,
     /// Reusable scratch for the in-place WsP source grouping of sealed slabs.
-    group_scratch: GroupScratch,
+    group_scratch: GroupScratch<T>,
     /// Present when the flush policy requests an adaptive timeout; every
     /// emitted message feeds it and the timeout polls read it.
     adaptive: Option<AdaptiveTimeout>,
+    /// Per-message statistics.  The per-item quantities are tallied in the
+    /// two plain fields below and folded in by [`Aggregator::stats`]: a
+    /// named-counter lookup is a scan over names, too slow for a per-item
+    /// path.
     stats: TramStats,
+    /// Items accepted for aggregation (not counting the local bypass).
+    inserted: u64,
+    /// Items returned for delivery through the local bypass.
+    bypassed: u64,
 }
 
 impl<T: Clone> Aggregator<T> {
@@ -191,6 +199,8 @@ impl<T: Clone> Aggregator<T> {
             group_scratch: GroupScratch::default(),
             adaptive: config.flush_policy.adaptive.map(AdaptiveTimeout::new),
             stats: TramStats::new(),
+            inserted: 0,
+            bypassed: 0,
         })
     }
 
@@ -204,9 +214,11 @@ impl<T: Clone> Aggregator<T> {
         self.owner
     }
 
-    /// Statistics accumulated so far.
-    pub fn stats(&self) -> &TramStats {
-        &self.stats
+    /// Statistics accumulated so far, with the per-item tallies folded in.
+    pub fn stats(&self) -> TramStats {
+        let mut stats = self.stats.clone();
+        stats.record_sends(self.inserted, self.bypassed);
+        stats
     }
 
     /// Return a spent item vector (from a message this aggregator emitted, or
@@ -353,13 +365,13 @@ impl<T: Clone> Aggregator<T> {
     /// accounting (usually the same as the item's creation time).
     pub fn insert_at(&mut self, item: Item<T>, now_ns: u64) -> InsertOutcome<T> {
         if self.is_local(item.dest) {
-            self.stats.record_local_bypass();
+            self.bypassed += 1;
             return InsertOutcome {
                 local_delivery: Some(item),
                 message: None,
             };
         }
-        self.stats.record_insert();
+        self.inserted += 1;
 
         let Some(slot) = self.slot_for(item.dest) else {
             return InsertOutcome {
@@ -378,9 +390,9 @@ impl<T: Clone> Aggregator<T> {
     }
 
     /// NoAgg: the item is its own message.  The single-item vector comes from
-    /// the pool, so a substrate that returns delivered vectors (per-pair
-    /// return rings on the native mesh, the simulator's recycling) makes even
-    /// the unaggregated scheme allocation-free in steady state.
+    /// the pool, so a substrate that returns delivered vectors (the
+    /// simulator's recycling) makes even the unaggregated scheme
+    /// allocation-free in steady state.
     fn emit_single(&mut self, item: Item<T>) -> OutboundMessage<T> {
         let dest = MessageDest::Worker(item.dest);
         let mut items = self.pool.take();
@@ -410,18 +422,25 @@ impl<T: Clone> Aggregator<T> {
         }
     }
 
-    /// Drain every non-empty buffer, handing one (resized) message per
-    /// destination to `sink`.  `reason` records why (explicit, idle, timeout).
-    fn drain_all_each(&mut self, reason: EmitReason, mut sink: impl FnMut(OutboundMessage<T>)) {
+    /// Drain every non-empty buffer that `due` accepts into one (resized)
+    /// message per destination.  `reason` records why (explicit, idle,
+    /// timeout).
+    fn drain_where(
+        &mut self,
+        reason: EmitReason,
+        due: impl Fn(&ItemBuffer<T>) -> bool,
+    ) -> Vec<OutboundMessage<T>> {
+        let mut out = Vec::new();
         for slot in 0..self.buffers.len() {
             match self.buffers[slot].as_ref() {
-                Some(buffer) if !buffer.is_empty() => {}
+                Some(buffer) if !buffer.is_empty() && due(buffer) => {}
                 _ => continue,
             }
             let items = self.drain_slot(slot);
             let dest = self.dest_for_slot(slot);
-            sink(self.make_message(dest, items, reason));
+            out.push(self.make_message(dest, items, reason));
         }
+        out
     }
 
     /// Explicit application flush: drain all partially-filled buffers.
@@ -430,40 +449,28 @@ impl<T: Clone> Aggregator<T> {
     /// update loop, and that flush-dominated configurations (Fig. 9 at 32+
     /// nodes for WW, Fig. 11) suffer from.
     pub fn flush(&mut self) -> Vec<OutboundMessage<T>> {
-        let mut out = Vec::new();
-        self.flush_each(|m| out.push(m));
-        out
-    }
-
-    /// [`Aggregator::flush`] without the intermediate message vector: each
-    /// drained message goes straight to `sink` (the native runtime's
-    /// flush-to-ring fast path).
-    pub fn flush_each(&mut self, sink: impl FnMut(OutboundMessage<T>)) {
         self.stats.record_flush_call();
-        self.drain_all_each(EmitReason::ExplicitFlush, sink);
+        self.drain_where(EmitReason::ExplicitFlush, |_| true)
     }
 
     /// Idle flush: called by the runtime when the owning worker has no work.
     /// Only drains if the flush policy enables flushing on idle.
     pub fn flush_on_idle(&mut self) -> Vec<OutboundMessage<T>> {
-        let mut out = Vec::new();
-        self.flush_on_idle_each(|m| out.push(m));
-        out
-    }
-
-    /// [`Aggregator::flush_on_idle`] with messages handed straight to `sink`.
-    pub fn flush_on_idle_each(&mut self, sink: impl FnMut(OutboundMessage<T>)) {
-        if self.config.flush_policy.on_idle {
-            self.drain_all_each(EmitReason::IdleFlush, sink);
+        if !self.config.flush_policy.on_idle {
+            return Vec::new();
         }
+        self.drain_where(EmitReason::IdleFlush, |_| true)
     }
 
     /// Timeout poll: drain buffers whose oldest item is older than the
     /// configured timeout at time `now_ns`.
     pub fn poll_timeout(&mut self, now_ns: u64) -> Vec<OutboundMessage<T>> {
-        let mut out = Vec::new();
-        self.poll_timeout_each(now_ns, |m| out.push(m));
-        out
+        let Some(timeout) = self.effective_timeout_ns() else {
+            return Vec::new();
+        };
+        self.drain_where(EmitReason::TimeoutFlush, |buffer| {
+            buffer.oldest_age_ns(now_ns) >= timeout
+        })
     }
 
     /// The timeout currently in force: the adaptive controller's value when
@@ -479,22 +486,6 @@ impl<T: Clone> Aggregator<T> {
     /// policies).
     pub fn adaptive_adjustments(&self) -> u64 {
         self.adaptive.as_ref().map_or(0, |a| a.adjustments())
-    }
-
-    /// [`Aggregator::poll_timeout`] with messages handed straight to `sink`.
-    pub fn poll_timeout_each(&mut self, now_ns: u64, mut sink: impl FnMut(OutboundMessage<T>)) {
-        let Some(timeout) = self.effective_timeout_ns() else {
-            return;
-        };
-        for slot in 0..self.buffers.len() {
-            match self.buffers[slot].as_ref() {
-                Some(buffer) if !buffer.is_empty() && buffer.oldest_age_ns(now_ns) >= timeout => {}
-                _ => continue,
-            }
-            let items = self.drain_slot(slot);
-            let dest = self.dest_for_slot(slot);
-            sink(self.make_message(dest, items, EmitReason::TimeoutFlush));
-        }
     }
 
     /// The earliest deadline at which [`Self::poll_timeout`] would flush
@@ -545,38 +536,29 @@ impl<T: Copy> Aggregator<T> {
         now_ns: u64,
     ) -> SlabInsertOutcome<T> {
         if self.is_local(item.dest) {
-            self.stats.record_local_bypass();
+            self.bypassed += 1;
             return SlabInsertOutcome {
                 local_delivery: Some(item),
                 message: None,
             };
         }
-        self.stats.record_insert();
+        self.inserted += 1;
 
         let Some(slot) = self.slot_for(item.dest) else {
             // NoAgg never buffers: single-item messages stay on the pooled
-            // vector path (the native mesh ships them inline anyway).
+            // vector path.  The native backends send NoAgg items inline
+            // without an aggregator; this arm serves direct callers.
             return SlabInsertOutcome {
                 local_delivery: None,
                 message: Some(EmittedMessage::Vec(self.emit_single(item))),
             };
         };
 
-        // Soundness gate for the unchecked slab writes below: every write
-        // index is `< buffer_items`, so slabs at least that big make the
-        // whole fill phase in-bounds.  Checked here — outside the per-item
-        // fast path only in the sense that it is one branch — so a caller
-        // pairing a mis-sized arena with this config gets a panic, never UB.
-        assert!(
-            arena.slab_capacity() >= self.config.buffer_items,
-            "arena slabs ({}) smaller than the configured buffer ({})",
-            arena.slab_capacity(),
-            self.config.buffer_items
-        );
         let capacity = self.config.buffer_items as u32;
         if let Some((slab, len)) = self.slabs[slot] {
             // SAFETY: this aggregator claimed `slab` (rule: claim → seal is
-            // owner-exclusive) and `len < capacity` because a full slab is
+            // owner-exclusive) after checking that the arena's slabs hold
+            // `capacity` items, and `len < capacity` because a full slab is
             // sealed immediately below.
             unsafe { arena.write(slab, len as usize, item) };
             let len = len + 1;
@@ -597,6 +579,17 @@ impl<T: Copy> Aggregator<T> {
         // mixing the two stores would reorder the destination's items.
         let vec_pending = self.buffers[slot].as_ref().is_some_and(|b| !b.is_empty());
         if !vec_pending {
+            // Soundness gate for every unchecked write into the slab claimed
+            // here: each write index is `< buffer_items`, so slabs at least
+            // that big make the whole fill phase in-bounds.  Checked once per
+            // claim, not per item, so a caller pairing a mis-sized arena with
+            // this config gets a panic, never UB.
+            assert!(
+                arena.slab_capacity() >= self.config.buffer_items,
+                "arena slabs ({}) smaller than the configured buffer ({})",
+                arena.slab_capacity(),
+                self.config.buffer_items
+            );
             if let Some(slab) = arena.try_claim() {
                 // SAFETY: freshly claimed, slot 0 is in range.
                 unsafe { arena.write(slab, 0, item) };
@@ -1005,6 +998,35 @@ mod tests {
         assert_eq!(stats.messages_flushed(), 1);
         assert_eq!(stats.items_inserted(), 4);
         assert_eq!(stats.items_sent(), 4);
+    }
+
+    #[test]
+    fn stats_are_exact_mid_fill_before_any_seal() {
+        // The per-item tallies live outside the named counters; `stats()`
+        // must fold them in at any instant, not only once a message exists,
+        // and reading them must not count anything twice.
+        let arena = slab_arena(3);
+        let mut agg = Aggregator::new(config(Scheme::WPs), Owner::Worker(WorkerId(0)));
+        assert!(agg.insert_slab_at(&arena, item(4, 1), 0).message.is_none());
+        assert!(agg
+            .insert_slab_at(&arena, item(1, 2), 0)
+            .local_delivery
+            .is_some());
+        assert!(agg.insert_slab_at(&arena, item(6, 3), 0).message.is_none());
+        for _ in 0..2 {
+            let stats = agg.stats();
+            assert_eq!(stats.items_inserted(), 2);
+            assert_eq!(stats.items_local_bypass(), 1);
+            assert_eq!(stats.messages_sent(), 0);
+        }
+        assert_eq!(agg.buffered_items(), 2);
+
+        let mut agg = Aggregator::new(config(Scheme::WW), Owner::Worker(WorkerId(0)));
+        agg.insert(item(4, 1));
+        agg.insert(item(1, 2));
+        let stats = agg.stats();
+        assert_eq!((stats.items_inserted(), stats.items_local_bypass()), (1, 1));
+        assert_eq!(stats.items_sent(), 0);
     }
 
     #[test]

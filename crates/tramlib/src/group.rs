@@ -2,28 +2,39 @@
 //!
 //! The zero-copy slab path cannot move items into per-worker heap buckets
 //! (the whole point is that an item is written once, into its slab slot, and
-//! never copied again), so grouping — WsP's source-side pass and the
-//! destination pass for WPs/PP — is performed *in place*: a stable
-//! permutation reorders the slab's items so that each destination worker owns
-//! one contiguous index range, and only those ranges (not items) are handed
-//! around afterwards.
+//! is borrowed in place by its consumers), so grouping — WsP's source-side
+//! pass and the destination pass for WPs/PP — reorders the slab's own items:
+//! a stable permutation leaves each destination worker one contiguous index
+//! range, and only those ranges (not items) are handed around afterwards.
 //!
 //! The permutation is the same `O(g + t)` bucket distribution the paper
 //! charges for a grouping pass: one counting pass over the `g` items, a
 //! prefix sum over the `t` worker ranks of the destination process, and one
-//! cycle-chasing application that moves every item at most once.  The
+//! scatter.  The pass stages the items through a reused scratch copy and
+//! scatters each one straight back to its final slot, so every item is
+//! read twice and written twice with no data-dependent swap chains.  The
 //! scratch vectors are reused across calls, so a warmed-up pass allocates
-//! nothing.
+//! nothing; the ranges consumers borrow afterwards still point into the
+//! slab.
 
 use crate::item::Item;
 
 /// Reusable scratch storage for [`group_in_place`].
-#[derive(Debug, Clone, Default)]
-pub struct GroupScratch {
-    /// `pos[i]`: the index the item currently at `i` must move to.
-    pos: Vec<u32>,
-    /// Per-rank counters, then running start offsets (length `wpp + 1`).
+#[derive(Debug, Clone)]
+pub struct GroupScratch<T> {
+    /// Copy of the items being grouped, scattered back by rank.
+    staged: Vec<Item<T>>,
+    /// Per-rank counters, then running write offsets (length `wpp`).
     counts: Vec<u32>,
+}
+
+impl<T> Default for GroupScratch<T> {
+    fn default() -> Self {
+        Self {
+            staged: Vec::new(),
+            counts: Vec::new(),
+        }
+    }
 }
 
 /// Stably reorder `items` so they are grouped by destination worker, in
@@ -32,9 +43,8 @@ pub struct GroupScratch {
 /// All destinations must lie in one process's contiguous worker-id range of
 /// width `wpp` (the only shape process-addressed messages can have); this is
 /// debug-asserted.
-pub fn group_in_place<T>(items: &mut [Item<T>], wpp: usize, scratch: &mut GroupScratch) {
-    let n = items.len();
-    if n < 2 || wpp < 2 {
+pub fn group_in_place<T: Copy>(items: &mut [Item<T>], wpp: usize, scratch: &mut GroupScratch<T>) {
+    if items.len() < 2 || wpp < 2 {
         return;
     }
     let base = (items[0].dest.idx() / wpp) * wpp;
@@ -47,33 +57,23 @@ pub fn group_in_place<T>(items: &mut [Item<T>], wpp: usize, scratch: &mut GroupS
         debug_assert!(rank < wpp, "item crosses its destination process");
         scratch.counts[rank] += 1;
     }
-    // Prefix sum: counts[r] becomes the running start offset of rank r.
+    // Prefix sum: counts[r] becomes the first slot of rank r.
     let mut start = 0u32;
     for count in scratch.counts.iter_mut() {
         let c = *count;
         *count = start;
         start += c;
     }
-    // Destination pass: target position of every item, stable by
-    // construction (equal ranks keep their relative order).
-    scratch.pos.clear();
-    scratch.pos.reserve(n);
-    for item in items.iter() {
+    // Scatter pass: stage a copy, then write every item to the next free
+    // slot of its rank.  Stable by construction (equal ranks are visited,
+    // and written, in their original order).
+    scratch.staged.clear();
+    scratch.staged.extend_from_slice(items);
+    for item in &scratch.staged {
         let rank = item.dest.idx() - base;
         let at = scratch.counts[rank];
-        scratch.counts[rank] += 1;
-        scratch.pos.push(at);
-    }
-    // Apply the permutation by chasing cycles: each swap puts the item at
-    // `i` into its final slot, so every item moves at most once (plus the
-    // swaps that pass through `i`), for O(n) moves total.
-    let pos = &mut scratch.pos;
-    for i in 0..n {
-        while pos[i] as usize != i {
-            let j = pos[i] as usize;
-            items.swap(i, j);
-            pos.swap(i, j);
-        }
+        scratch.counts[rank] = at + 1;
+        items[at as usize] = *item;
     }
 }
 

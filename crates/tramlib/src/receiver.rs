@@ -15,9 +15,10 @@
 //! * [`PooledReceiver::drain_grouped`] drains a borrowed vector into pooled
 //!   batches handed to a sink, leaving the capacity with the caller;
 //! * [`PooledReceiver::group_ranges`] is the zero-copy endpoint: it groups a
-//!   borrowed slab slice **in place** and reports per-worker *index ranges*,
-//!   so not a single item is moved out of the slab — consumers borrow
-//!   `&[Item]` sub-slices straight from the owner's arena.
+//!   borrowed slab slice **in place** (staging the items through a reused
+//!   scratch copy and scattering them back into the slab) and reports
+//!   per-worker *index ranges*, so no item ends up outside the slab —
+//!   consumers borrow `&[Item]` sub-slices straight from the owner's arena.
 //!
 //! Every spent vector — the incoming message's and the delivered per-worker
 //! batches the substrate hands back — recycles through a [`VecPool`], so the
@@ -79,8 +80,8 @@ pub struct PooledReceiver<T> {
     /// Reusable `(worker, start, len)` table for
     /// [`PooledReceiver::group_ranges`].
     ranges: Vec<(WorkerId, u32, u32)>,
-    /// Reusable permutation scratch for the in-place grouping pass.
-    group_scratch: GroupScratch,
+    /// Reusable staging scratch for the in-place grouping pass.
+    group_scratch: GroupScratch<T>,
 }
 
 impl<T> PooledReceiver<T> {
@@ -110,38 +111,6 @@ impl<T> PooledReceiver<T> {
     /// Reuse statistics of the internal vector pool.
     pub fn pool_stats(&self) -> PoolStats {
         self.pool.stats()
-    }
-
-    /// The zero-copy grouping endpoint: group a borrowed slab slice by
-    /// destination worker **in place** and record the per-worker index
-    /// ranges, retrievable with [`PooledReceiver::take_ranges`].
-    ///
-    /// Not a single item leaves the slice: an ungrouped payload (WPs/PP) is
-    /// stably permuted within the slab it already lives in (the `O(g + t)`
-    /// grouping cost — a counting pass plus at most one move per item, all
-    /// inside the slab), and a grouped one (WsP) is only scanned for run
-    /// boundaries.  Consumers then borrow `&items[start..start + len]`
-    /// sub-slices directly.
-    ///
-    /// The caller must hold exclusive access to the slice (for slabs: be the
-    /// sole consumer, *before* forwarding any range).
-    pub fn group_ranges(
-        &mut self,
-        items: &mut [Item<T>],
-        grouped_at_source: bool,
-    ) -> GroupingOutcome {
-        let item_count = items.len();
-        if !grouped_at_source {
-            let wpp = self.config.topology.workers_per_proc() as usize;
-            group_in_place(items, wpp, &mut self.group_scratch);
-        }
-        self.ranges.clear();
-        scan_runs(items, &mut self.ranges);
-        GroupingOutcome {
-            grouping_performed: !grouped_at_source,
-            item_count,
-            worker_count: self.ranges.len(),
-        }
     }
 
     /// Move the range table of the last [`PooledReceiver::group_ranges`] call
@@ -295,6 +264,42 @@ impl<T> PooledReceiver<T> {
                     local_deliveries: worker_count,
                 }
             }
+        }
+    }
+}
+
+/// The zero-copy grouping endpoint needs `T: Copy`: the in-place pass
+/// stages plain-old-data items through a scratch copy.
+impl<T: Copy> PooledReceiver<T> {
+    /// The zero-copy grouping endpoint: group a borrowed slab slice by
+    /// destination worker **in place** and record the per-worker index
+    /// ranges, retrievable with [`PooledReceiver::take_ranges`].
+    ///
+    /// No item ends up outside the slice: an ungrouped payload (WPs/PP) is
+    /// stably permuted within the slab it already lives in (the `O(g + t)`
+    /// grouping cost — a counting pass, then a scatter from a reused scratch
+    /// copy back into the slab), and a grouped one (WsP) is only scanned for
+    /// run boundaries.  Consumers then borrow `&items[start..start + len]`
+    /// sub-slices directly.
+    ///
+    /// The caller must hold exclusive access to the slice (for slabs: be the
+    /// sole consumer, *before* forwarding any range).
+    pub fn group_ranges(
+        &mut self,
+        items: &mut [Item<T>],
+        grouped_at_source: bool,
+    ) -> GroupingOutcome {
+        let item_count = items.len();
+        if !grouped_at_source {
+            let wpp = self.config.topology.workers_per_proc() as usize;
+            group_in_place(items, wpp, &mut self.group_scratch);
+        }
+        self.ranges.clear();
+        scan_runs(items, &mut self.ranges);
+        GroupingOutcome {
+            grouping_performed: !grouped_at_source,
+            item_count,
+            worker_count: self.ranges.len(),
         }
     }
 }

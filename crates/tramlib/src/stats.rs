@@ -33,19 +33,10 @@ impl TramStats {
         }
     }
 
-    /// Record an item accepted for aggregation.
-    pub fn record_insert(&mut self) {
-        self.counters.incr("items_inserted");
-    }
-
-    /// Record an item delivered directly through the local (same-process) bypass.
-    pub fn record_local_bypass(&mut self) {
-        self.counters.incr("items_local_bypass");
-    }
-
     /// Record `inserted` items accepted for aggregation and `bypassed` items
-    /// delivered through the local bypass at once, for a caller that tallies
-    /// its sends in plain integers instead of per item.
+    /// delivered through the local (same-process) bypass.  Callers tally
+    /// these per item in plain integers and record the totals here: the
+    /// named counters are for per-message and per-run quantities.
     pub fn record_sends(&mut self, inserted: u64, bypassed: u64) {
         self.counters.add("items_inserted", inserted);
         self.counters.add("items_local_bypass", bypassed);
@@ -163,9 +154,7 @@ mod tests {
     #[test]
     fn record_and_query() {
         let mut s = TramStats::new();
-        s.record_insert();
-        s.record_insert();
-        s.record_local_bypass();
+        s.record_sends(2, 1);
         s.record_message(2, 96, EmitReason::BufferFull);
         s.record_flush_call();
         s.record_message(1, 80, EmitReason::ExplicitFlush);
@@ -180,7 +169,7 @@ mod tests {
         assert_eq!(s.flush_calls(), 1);
         assert!((s.mean_fill() - 1.5).abs() < 1e-12);
 
-        // Bulk recording matches per-item recording.
+        // Bulk message recording matches per-message recording.
         let mut bulk = TramStats::new();
         bulk.record_sends(2, 1);
         bulk.record_messages(2, 3, 176, EmitReason::BufferFull);
@@ -203,7 +192,7 @@ mod tests {
         let mut b = TramStats::new();
         a.record_message(4, 128, EmitReason::BufferFull);
         b.record_message(2, 64, EmitReason::IdleFlush);
-        b.record_insert();
+        b.record_sends(1, 0);
         a.merge(&b);
         assert_eq!(a.messages_sent(), 2);
         assert_eq!(a.items_sent(), 6);

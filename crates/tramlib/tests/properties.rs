@@ -8,6 +8,7 @@
 
 use net_model::{ProcId, Topology, WorkerId};
 use proptest::prelude::*;
+use tramlib::group::{group_in_place, GroupScratch};
 use tramlib::{analysis, Aggregator, Item, MessageDest, Owner, PooledReceiver, Scheme, TramConfig};
 
 /// A compact description of a randomly generated scenario.
@@ -292,6 +293,45 @@ proptest! {
         let link = net_model::AlphaBeta::new(2_000.0, 0.1);
         let c = analysis::send_cost(&link, z, b, g);
         prop_assert!(c.aggregated_ns <= c.unaggregated_ns + 1e-6);
+    }
+}
+
+/// The stable bucket grouping `group_in_place` must reproduce: one bucket
+/// per worker rank of the destination process, filled in input order.
+fn bucket_reference(items: &[Item<u32>], wpp: usize) -> Vec<Item<u32>> {
+    let mut buckets: Vec<Vec<Item<u32>>> = vec![Vec::new(); wpp];
+    for item in items {
+        buckets[item.dest.idx() % wpp].push(*item);
+    }
+    buckets.concat()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The in-place grouping pass is a stable bucket distribution for any
+    /// length up to a full 1024-item buffer and any process width, and one
+    /// scratch reused across calls of different widths and lengths carries
+    /// no state from one call into the next.
+    #[test]
+    fn group_in_place_matches_the_stable_bucket_reference(
+        inputs in prop::collection::vec(
+            (1usize..9, 0u32..4, prop::collection::vec(any::<u8>(), 0..1025)),
+            1..5,
+        )
+    ) {
+        let mut scratch = GroupScratch::default();
+        for &(wpp, proc_sel, ref ranks) in &inputs {
+            let base = proc_sel * wpp as u32;
+            let mut items: Vec<Item<u32>> = ranks
+                .iter()
+                .enumerate()
+                .map(|(i, &r)| Item::new(WorkerId(base + u32::from(r) % wpp as u32), i as u32, 0))
+                .collect();
+            let expected = bucket_reference(&items, wpp);
+            group_in_place(&mut items, wpp, &mut scratch);
+            prop_assert_eq!(items, expected);
+        }
     }
 }
 

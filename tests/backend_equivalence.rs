@@ -65,6 +65,10 @@ fn main() {
             "node_tier_wire_matches_the_in_process_cluster",
             node_tier_wire_matches_the_in_process_cluster,
         ),
+        (
+            "flush_timeout_drains_stranded_buffers_on_both_backends",
+            flush_timeout_drains_stranded_buffers_on_both_backends,
+        ),
     ]);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -335,5 +339,65 @@ fn run_app_dispatches_every_backend() {
         assert!(report.clean(), "{backend}: not clean");
         assert_eq!(report.items_sent, 8, "{backend}");
         assert_eq!(report.counter("echo_received"), 8, "{backend}");
+    }
+}
+
+fn flush_timeout_drains_stranded_buffers_on_both_backends() {
+    // Every worker sends one item across the process boundary and never
+    // flushes: without a policy only the watchdog ends such a run.  A
+    // timeout policy, fixed or adaptive, must drain the stranded buffers on
+    // both native backends, so the run ends clean through timeout flushes.
+    struct Strander {
+        sent: bool,
+    }
+    impl WorkerApp for Strander {
+        fn on_item(&mut self, _item: Payload, _created: u64, _ctx: &mut dyn RunCtx) {}
+        fn on_idle(&mut self, ctx: &mut dyn RunCtx) -> bool {
+            if self.sent {
+                return false;
+            }
+            self.sent = true;
+            let dest = WorkerId((ctx.my_id().0 + 4) % 8);
+            ctx.send(dest, Payload::new(1, 2));
+            true
+        }
+        fn local_done(&self) -> bool {
+            self.sent
+        }
+    }
+
+    let max_wall = std::time::Duration::from_secs(10);
+    let policies = [
+        FlushPolicy::with_timeout(100_000),
+        FlushPolicy::adaptive(50_000, 100_000),
+    ];
+    for policy in policies {
+        for scheme in [Scheme::WW, Scheme::PP] {
+            let tram = TramConfig::new(scheme, Topology::smp(1, 2, 4))
+                .with_buffer_items(1024)
+                .with_flush_policy(policy);
+            let threaded = run_threaded(
+                NativeBackendConfig::new(tram).with_max_wall(max_wall),
+                |_| Box::new(Strander { sent: false }),
+            );
+            let process = run_process(
+                ProcessBackendConfig::new(tram).with_max_wall(max_wall),
+                |_| Box::new(Strander { sent: false }),
+            );
+            for report in [threaded, process] {
+                let backend = report.backend;
+                assert_eq!(
+                    report.outcome,
+                    RunOutcome::Clean,
+                    "{backend} {scheme} {policy:?}: the timeout must drain the buffers"
+                );
+                assert_eq!(report.items_sent, 8, "{backend} {scheme}");
+                assert_eq!(report.items_delivered, 8, "{backend} {scheme}");
+                assert!(
+                    report.tram.counters().get("messages_timeout_flush") > 0,
+                    "{backend} {scheme} {policy:?}: no timeout flush recorded"
+                );
+            }
+        }
     }
 }
